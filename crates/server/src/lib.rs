@@ -30,8 +30,10 @@
 //!
 //! The structures a server instance exposes are chosen by the Proust
 //! design-space axes: `--lap pessimistic|optimistic` picks the
-//! lock-allocator policy and `--update eager|lazy` the update strategy
-//! (plus `--baseline` for the non-Proustian comparison maps).
+//! lock-allocator policy and `--update eager|lazy` the update strategy.
+//! The non-Proustian comparison maps are measured in process, not through
+//! the server: by `figure4`, the `lib-*` benchmark workloads, and the
+//! `baselines.*` ladder rungs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,7 +58,7 @@ use proust_reactor::{
 use proust_stm::obs::Phase;
 use proust_stm::{CmPolicy, RetryExhaustion};
 
-pub use engine::{Baseline, Engine, Op, Resp, StageBreakdown, Unit, Waterfall};
+pub use engine::{Engine, Op, Resp, StageBreakdown, Unit, Waterfall};
 
 /// Everything a server instance needs to know at startup.
 #[derive(Debug, Clone)]
@@ -67,8 +69,6 @@ pub struct ServerConfig {
     pub lap: LapChoice,
     /// Update-strategy axis for the Proustian maps.
     pub update: UpdateChoice,
-    /// Use a baseline (non-Proustian) map implementation instead.
-    pub baseline: Option<Baseline>,
     /// Contention-management policy for the STM runtime.
     pub cm: CmPolicy,
     /// What happens when a transaction exhausts `max_retries`.
@@ -115,7 +115,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             lap: LapChoice::default(),
             update: UpdateChoice::default(),
-            baseline: None,
             cm: CmPolicy::default(),
             exhaustion: RetryExhaustion::SerialFallback,
             max_retries: 128,
@@ -657,7 +656,10 @@ fn feed_line(shared: &Shared, line: &str, state: &mut ConnState, segs: &mut Vec<
 /// call: the pending commit batch plus the stage bookkeeping that turns
 /// each flush into a [`Waterfall`].
 struct FlushWindow {
-    pending: Vec<(Unit, bool, Instant, bool)>,
+    /// The pending units, handed to the engine by slice.
+    units: Vec<Unit>,
+    /// Per pending unit: MULTI/BATCH framing, parse stamp, TRACE echo.
+    meta: Vec<(bool, Instant, bool)>,
     pending_ops: usize,
     /// Parse time accumulated for the pending units (per-request deltas
     /// between parse stamps).
@@ -679,7 +681,8 @@ fn run_segments(shared: &Shared, segs: Vec<Seg>, wire: Wire, ctx: &StageCtx) -> 
     let engine = &shared.engine;
     let mut out: Vec<u8> = Vec::new();
     let mut window = FlushWindow {
-        pending: Vec::new(),
+        units: Vec::new(),
+        meta: Vec::new(),
         pending_ops: 0,
         parse_ns: 0,
         opened: ctx.entry,
@@ -699,7 +702,8 @@ fn run_segments(shared: &Shared, segs: Vec<Seg>, wire: Wire, ctx: &StageCtx) -> 
                 engine.record_stage(Phase::Parse, parse_ns);
                 window.parse_ns += parse_ns;
                 window.pending_ops += unit.ops.len();
-                window.pending.push((unit, is_multi, stamp, echo));
+                window.units.push(unit);
+                window.meta.push((is_multi, stamp, echo));
                 if window.pending_ops >= shared.max_batch {
                     flush_window(shared, wire, ctx, &mut out, &mut window);
                 }
@@ -732,20 +736,19 @@ fn flush_window(
     out: &mut Vec<u8>,
     window: &mut FlushWindow,
 ) {
-    if window.pending.is_empty() {
+    if window.units.is_empty() {
         return;
     }
     let engine = &shared.engine;
     let batch_ops = window.pending_ops;
     engine.record_batch_occupancy(batch_ops as u64);
-    let last_stamp = window.pending.last().expect("pending checked non-empty").2;
+    let last_stamp = window.meta.last().expect("pending checked non-empty").1;
     let exec_start = Instant::now();
-    for (_, _, stamp, _) in window.pending.iter() {
+    for (_, stamp, _) in &window.meta {
         let wait = exec_start.saturating_duration_since(*stamp).as_nanos() as u64;
         engine.record_stage(Phase::BatchWait, wait);
     }
-    let units: Vec<Unit> = window.pending.iter().map(|(unit, _, _, _)| unit.clone()).collect();
-    let (responses, breakdown) = engine.execute_stages(&units);
+    let (responses, breakdown) = engine.execute_stages(&window.units);
     let done = Instant::now();
     engine.record_stage(Phase::StmExec, breakdown.stm_exec_ns);
     engine.record_stage(Phase::WalAppend, breakdown.wal_append_ns);
@@ -774,9 +777,11 @@ fn flush_window(
     // encode time: resp_encode and sock_flush are still zero (they have
     // not happened yet); the exemplar copy recorded below includes them.
     let echo_json: Option<String> =
-        window.pending.iter().any(|(_, _, _, echo)| *echo).then(|| wf.to_json().to_json());
+        window.meta.iter().any(|(_, _, echo)| *echo).then(|| wf.to_json().to_json());
     let encode_start = done;
-    for ((unit, is_multi, stamp, echo), resps) in window.pending.drain(..).zip(responses) {
+    for ((unit, (is_multi, stamp, echo)), resps) in
+        window.units.drain(..).zip(window.meta.drain(..)).zip(responses)
+    {
         let elapsed = done.duration_since(stamp).as_nanos() as u64;
         if unit.ops.is_empty() {
             engine.latency.record(elapsed); // empty EXEC

@@ -2,13 +2,12 @@
 //! a client sends `SHUTDOWN` (or the process is killed).
 
 use proust_bench::args::{Args, LapChoice, UpdateChoice};
-use proust_server::{Baseline, Server, ServerConfig};
+use proust_server::{Server, ServerConfig};
 use proust_stm::{CmPolicy, RetryExhaustion};
 
 const USAGE: &str = "\
 usage: proust-server [--addr HOST:PORT] [--lap pessimistic|optimistic]
                      [--update eager|lazy]
-                     [--baseline stm|predication|boosted|coarse]
                      [--cm backoff|karma|greedy|serial]
                      [--exhaustion serial|giveup] [--max-retries N]
                      [--shards N]
@@ -34,13 +33,6 @@ fn config_from_args() -> ServerConfig {
                 let raw = args.value("--update");
                 config.update = UpdateChoice::parse(&raw)
                     .unwrap_or_else(|| args.fail(format!("unknown --update value {raw:?}")));
-            }
-            "--baseline" => {
-                let raw = args.value("--baseline");
-                config.baseline = Some(
-                    Baseline::parse(&raw)
-                        .unwrap_or_else(|| args.fail(format!("unknown --baseline value {raw:?}"))),
-                );
             }
             "--cm" => {
                 let raw = args.value("--cm");

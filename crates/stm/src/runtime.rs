@@ -732,8 +732,13 @@ mod retry_tests {
                     })
                     .unwrap()
             });
-            // Give the consumer a chance to block, then publish.
-            std::thread::yield_now();
+            // Publish only once the consumer has asked to retry, so the
+            // write is what wakes it rather than what it first reads.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while stm.stats().retries_requested == 0 {
+                assert!(std::time::Instant::now() < deadline, "consumer never retried");
+                std::thread::yield_now();
+            }
             stm.atomically(|tx| slot.write(tx, Some(42))).unwrap();
             assert_eq!(consumer.join().unwrap(), 42);
         });

@@ -235,6 +235,7 @@ impl StmStats {
         self.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
+    #[cfg(any(feature = "trace", test))]
     pub(crate) fn record_park(&self, ns: u64) {
         self.parks.fetch_add(1, Ordering::Relaxed);
         self.park_ns.fetch_add(ns, Ordering::Relaxed);
