@@ -667,7 +667,7 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn wakeup_rouses_a_parked_poller() {
@@ -845,7 +845,13 @@ mod tests {
         assert_eq!(&reply, b"hello\n");
 
         assert!(fills_timed.load(Ordering::Relaxed) > 0, "fill was not timed");
-        assert!(flushes.load(Ordering::Relaxed) > 0, "on_flushed never fired");
+        // The echo can reach the client before the shard runs its flush
+        // hook, so wait (bounded) for the flush edge rather than racing it.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while flushes.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "on_flushed never fired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         stop.store(true, Ordering::Release);
         inbox.notify();

@@ -16,16 +16,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use proust_bench::args::{LapChoice, UpdateChoice};
-use proust_bench::report::{abort_causes_json, histogram_json};
 use proust_core::op_site;
 use proust_core::structures::{
     EagerMap, FifoState, OrderedMap, ProustCounter, ProustFifo, SnapTrieMap,
 };
 use proust_core::{DurableOp, OptimisticLap, PessimisticLap, TxMap, ORDERED_STRIPES};
-use proust_reactor::ReactorMetrics;
-use proust_stm::obs::{
-    Histogram, JsonValue, Phase, PromWriter, Tracer, SHARED_NS_BUCKET_BOUNDS, STAGES,
-};
+use proust_stm::obs::{Histogram, JsonValue, Phase, Tracer, STAGES};
 use proust_stm::{CommitHook, ConflictDetection, SiteId, Stm, StmConfig, TxError, TxResult, Txn};
 use proust_wal::{FsyncPolicy, Wal};
 
@@ -43,17 +39,9 @@ const MAX_STRUCTURES: usize = 1024;
 /// per-request transactions".
 const BATCH_FALLBACK: &str = "batch-fallback";
 
-/// How many conflict-matrix cells `STATS` reports (the `/metrics`
-/// endpoint always exports the full matrix).
-const CONFLICT_TOP_K: usize = 8;
-
 /// Worst-latency request waterfalls retained per shard between `STATS`
 /// scrapes (the tail-exemplar ring).
 const WATERFALL_EXEMPLARS: usize = 4;
-
-/// Bucket boundaries for the batch-occupancy histogram: pending request
-/// counts per commit-batch flush, not nanoseconds.
-const OCCUPANCY_BUCKET_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Map a request-lifecycle stage to its index in [`STAGES`] order, or
 /// `None` for STM transaction phases and the `Request` envelope.
@@ -217,7 +205,7 @@ pub enum Op {
 }
 
 /// Per-op `(short label, variant name)` pairs, in [`Op::index`] order.
-const OP_LABELS: [(&str, &str); 11] = [
+pub(crate) const OP_LABELS: [(&str, &str); 11] = [
     ("get", "MapGet"),
     ("put", "MapPut"),
     ("del", "MapDel"),
@@ -347,26 +335,26 @@ impl<T: ?Sized> Registry<T> {
 
 /// Request, connection, slow-path and recovery counters.
 #[derive(Default)]
-struct Accounting {
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
-    busy: AtomicU64,
-    batch_fallbacks: AtomicU64,
-    connections_open: AtomicU64,
-    connections_total: AtomicU64,
-    slow_txns: AtomicU64,
-    slow_requests: AtomicU64,
+pub(crate) struct Accounting {
+    pub(crate) requests: AtomicU64,
+    pub(crate) protocol_errors: AtomicU64,
+    pub(crate) busy: AtomicU64,
+    pub(crate) batch_fallbacks: AtomicU64,
+    pub(crate) connections_open: AtomicU64,
+    pub(crate) connections_total: AtomicU64,
+    pub(crate) slow_txns: AtomicU64,
+    pub(crate) slow_requests: AtomicU64,
     /// Commit records replayed during startup recovery.
-    recovery_replayed: AtomicU64,
+    pub(crate) recovery_replayed: AtomicU64,
     /// Torn-tail bytes truncated during startup recovery.
-    recovery_truncated_bytes: AtomicU64,
+    pub(crate) recovery_truncated_bytes: AtomicU64,
     /// Torn tails detected (0 or 1 per recovery; cumulative across
     /// in-process reopens only in tests).
-    recovery_torn_tails: AtomicU64,
+    pub(crate) recovery_torn_tails: AtomicU64,
 }
 
 /// Relaxed read of one accounting counter.
-fn load(counter: &AtomicU64) -> u64 {
+pub(crate) fn load(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 
@@ -374,18 +362,18 @@ fn load(counter: &AtomicU64) -> u64 {
 /// request accounting.
 pub struct Engine {
     stm: Stm,
-    lap: LapChoice,
-    update: UpdateChoice,
+    pub(crate) lap: LapChoice,
+    pub(crate) update: UpdateChoice,
     batch_patience: u32,
     maps: Registry<dyn TxMap<u64, u64>>,
     counters: Registry<ProustCounter>,
     queues: Registry<ProustFifo<u64>>,
     omaps: Registry<OrderedMap<u64>>,
-    acct: Accounting,
+    pub(crate) acct: Accounting,
     /// Per-stage request-lifecycle latency, indexed in [`STAGES`] order.
-    stage_ns: [Histogram; 8],
+    pub(crate) stage_ns: [Histogram; 8],
     /// Pending parsed ops per commit-batch flush.
-    batch_occupancy: Histogram,
+    pub(crate) batch_occupancy: Histogram,
     /// Per-shard worst-K request waterfalls since the last STATS scrape.
     exemplars: Vec<Mutex<Vec<Waterfall>>>,
     /// Slow-transaction forensics threshold, ns; 0 disables the log.
@@ -395,13 +383,13 @@ pub struct Engine {
     /// Server-side request service latency (parse to response), ns.
     pub latency: Histogram,
     /// Same latency, broken out per op (indexed by [`Op::index`]).
-    op_latency: [Histogram; OP_LABELS.len()],
+    pub(crate) op_latency: [Histogram; OP_LABELS.len()],
     /// The write-ahead log, present when `--data-dir` is set.
-    wal: Option<Arc<Wal>>,
+    pub(crate) wal: Option<Arc<Wal>>,
     /// When to fsync appended commit records.
-    fsync_policy: FsyncPolicy,
+    pub(crate) fsync_policy: FsyncPolicy,
     /// fsync latency, ns (batch and always policies both record here).
-    wal_fsync_ns: Arc<Histogram>,
+    pub(crate) wal_fsync_ns: Arc<Histogram>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -623,7 +611,7 @@ impl Engine {
     }
 
     /// One WAL reading; zero without a WAL, so scrapers never branch.
-    fn wal_u64(&self, read: fn(&Wal) -> u64) -> u64 {
+    pub(crate) fn wal_u64(&self, read: fn(&Wal) -> u64) -> u64 {
         self.wal.as_deref().map_or(0, read)
     }
 
@@ -713,7 +701,7 @@ impl Engine {
     /// Drain every shard's tail exemplars, worst first. Called by the
     /// STATS serializer, so each scrape sees the worst requests since
     /// the previous one.
-    fn take_exemplars(&self) -> Vec<Waterfall> {
+    pub(crate) fn take_exemplars(&self) -> Vec<Waterfall> {
         let mut all: Vec<Waterfall> = Vec::new();
         for slot in &self.exemplars {
             all.append(&mut slot.lock().expect("exemplar ring poisoned"));
@@ -974,480 +962,6 @@ impl Engine {
                 unit.ops.iter().map(|_| Resp::Busy).collect()
             }
         }
-    }
-
-    /// The one-line JSON snapshot served by `STATS`: request accounting,
-    /// the STM commit/conflict counters with the abort-cause breakdown
-    /// (same shape as the bench report cells), live gauges (in-flight
-    /// transactions, open connections), the top conflict-matrix cells,
-    /// and the server-side latency histograms. `reactor` carries the
-    /// serving path's I/O counters when the engine runs inside the
-    /// server (absent in embedded/test use, where the fields read zero).
-    pub fn stats_json(&self, reactor: Option<&ReactorMetrics>) -> JsonValue {
-        let stats = self.stm.stats();
-        let top: Vec<JsonValue> = self
-            .stm
-            .metrics()
-            .conflicts
-            .cells()
-            .into_iter()
-            .take(CONFLICT_TOP_K)
-            .map(|cell| {
-                JsonValue::obj([
-                    ("aborter", JsonValue::str(cell.aborter.name())),
-                    ("victim", JsonValue::str(cell.victim.name())),
-                    ("count", JsonValue::u64(cell.count)),
-                    ("ns_lost", JsonValue::u64(cell.ns_lost)),
-                ])
-            })
-            .collect();
-        let op_p99: Vec<(&str, JsonValue)> = OP_LABELS
-            .iter()
-            .zip(self.op_latency.iter())
-            .map(|((name, _), hist)| (*name, JsonValue::u64(hist.p99())))
-            .collect();
-        let stage_quantile = |quantile: fn(&Histogram) -> u64| -> JsonValue {
-            JsonValue::obj(
-                STAGES
-                    .iter()
-                    .zip(self.stage_ns.iter())
-                    .map(|(stage, hist)| (stage.name(), JsonValue::u64(quantile(hist))))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        // The stage whose tail costs the most: ranked by p99 contribution,
-        // the same ordering the proust-top waterfall panel uses.
-        let top_stage = STAGES
-            .iter()
-            .zip(self.stage_ns.iter())
-            .max_by_key(|(_, hist)| hist.p99())
-            .map(|(stage, _)| stage.name())
-            .expect("eight stages, never empty");
-        let exemplars: Vec<JsonValue> =
-            self.take_exemplars().iter().map(Waterfall::to_json).collect();
-        JsonValue::obj([
-            ("lap", JsonValue::str(self.lap.name())),
-            ("update", JsonValue::str(self.update.name())),
-            // Always null: the server serves Proustian maps only (the
-            // comparison maps are measured in process). Kept for scrapers.
-            ("baseline", JsonValue::Null),
-            ("requests", JsonValue::u64(load(&self.acct.requests))),
-            ("protocol_errors", JsonValue::u64(load(&self.acct.protocol_errors))),
-            ("busy", JsonValue::u64(load(&self.acct.busy))),
-            ("batch_fallbacks", JsonValue::u64(load(&self.acct.batch_fallbacks))),
-            ("connections", JsonValue::u64(load(&self.acct.connections_open))),
-            ("connections_total", JsonValue::u64(load(&self.acct.connections_total))),
-            ("in_flight", JsonValue::u64(self.stm.in_flight())),
-            ("slow_txns", JsonValue::u64(load(&self.acct.slow_txns))),
-            ("trace_sample_every", JsonValue::u64(Tracer::global().sample_every())),
-            ("starts", JsonValue::u64(stats.starts)),
-            ("commits", JsonValue::u64(stats.commits)),
-            ("conflicts", JsonValue::u64(stats.conflicts)),
-            ("exhausted", JsonValue::u64(stats.exhausted)),
-            ("serial_escalations", JsonValue::u64(stats.serial_escalations)),
-            ("serial_queue_depth", JsonValue::u64(self.stm.serial_queue_depth())),
-            ("serial_held_ns", JsonValue::u64(stats.serial_held_ns)),
-            ("lock_waits", JsonValue::u64(stats.lock_waits)),
-            ("lock_wait_ns", JsonValue::u64(stats.lock_wait_ns)),
-            ("parks", JsonValue::u64(stats.parks)),
-            ("park_ns", JsonValue::u64(stats.park_ns)),
-            ("contention_ns_lost", JsonValue::u64(self.stm.metrics().conflicts.total_ns_lost())),
-            ("wounds_issued", JsonValue::u64(stats.wounds_issued)),
-            ("abort_causes", abort_causes_json(&stats)),
-            ("conflict_matrix_top", JsonValue::Arr(top)),
-            ("latency", histogram_json(&self.latency)),
-            ("op_p99_ns", JsonValue::obj(op_p99)),
-            // STATS v4: durability. All fields are present (zero) when the
-            // server runs without --data-dir, so scrapers never branch.
-            ("wal_enabled", JsonValue::u64(u64::from(self.wal.is_some()))),
-            ("fsync_policy", JsonValue::str(self.fsync_policy.name())),
-            ("wal_records", JsonValue::u64(self.wal_u64(|w| load(&w.stats().records)))),
-            ("wal_append_bytes", JsonValue::u64(self.wal_u64(|w| load(&w.stats().append_bytes)))),
-            ("wal_fsyncs", JsonValue::u64(self.wal_u64(|w| load(&w.stats().fsyncs)))),
-            ("wal_segments", JsonValue::u64(self.wal_u64(|w| load(&w.stats().segments)))),
-            ("wal_last_lsn", JsonValue::u64(self.wal_u64(Wal::last_lsn))),
-            ("wal_durable_lsn", JsonValue::u64(self.wal_u64(Wal::durable_lsn))),
-            ("wal_checkpoint_lsn", JsonValue::u64(self.wal_u64(Wal::checkpoint_lsn))),
-            ("wal_fsync_p99_ns", JsonValue::u64(self.wal_fsync_ns.p99())),
-            ("recovery_replayed", JsonValue::u64(load(&self.acct.recovery_replayed))),
-            ("recovery_truncated_bytes", JsonValue::u64(load(&self.acct.recovery_truncated_bytes))),
-            ("recovery_torn_tails", JsonValue::u64(load(&self.acct.recovery_torn_tails))),
-            // STATS v5: the reactor serving path. Fields are present
-            // (zero) when no reactor is attached, so scrapers never
-            // branch on server mode.
-            ("reactor_shards", JsonValue::u64(reactor.map_or(0, |r| r.shard_count() as u64))),
-            ("reactor_wakeups", JsonValue::u64(reactor.map_or(0, |r| r.wakeups_total()))),
-            ("reactor_backpressure", JsonValue::u64(reactor.map_or(0, |r| r.backpressure_total()))),
-            (
-                "connections_per_shard",
-                JsonValue::Arr(
-                    reactor
-                        .map(|r| r.connections_per_shard())
-                        .unwrap_or_default()
-                        .into_iter()
-                        .map(JsonValue::u64)
-                        .collect(),
-                ),
-            ),
-            // STATS v6: the request-lifecycle waterfall. Per-stage p50/p99
-            // over the stage histograms, the stage dominating the p99 tail,
-            // batch occupancy, and the worst-K tail exemplars drained per
-            // scrape. All fields are present (zeroed/empty) before any
-            // request flows, so scrapers never branch.
-            ("slow_requests", JsonValue::u64(load(&self.acct.slow_requests))),
-            ("stage_p50_ns", stage_quantile(Histogram::p50)),
-            ("stage_p99_ns", stage_quantile(Histogram::p99)),
-            ("top_stage", JsonValue::str(top_stage)),
-            ("batch_occupancy_p50", JsonValue::u64(self.batch_occupancy.p50())),
-            ("batch_occupancy_p99", JsonValue::u64(self.batch_occupancy.p99())),
-            ("stage_exemplars", JsonValue::Arr(exemplars)),
-        ])
-    }
-
-    /// Encode the live metrics in Prometheus text exposition format —
-    /// the payload behind `GET /metrics` on the dedicated listener.
-    /// `reactor` attaches the serving path's I/O families; they are
-    /// exported as zeros when absent so scrape assertions never branch.
-    pub fn prometheus(&self, reactor: Option<&ReactorMetrics>) -> String {
-        let stats = self.stm.stats();
-        let metrics = self.stm.metrics();
-        let mut w = PromWriter::new();
-
-        w.counter(
-            "proust_requests_total",
-            "Data requests received (each op of a MULTI counts once).",
-            load(&self.acct.requests),
-        );
-        w.counter(
-            "proust_protocol_errors_total",
-            "Malformed request lines answered with ERR.",
-            load(&self.acct.protocol_errors),
-        );
-        w.counter(
-            "proust_busy_total",
-            "Units answered BUSY after exhausting their retry budget.",
-            load(&self.acct.busy),
-        );
-        w.counter(
-            "proust_batch_fallbacks_total",
-            "Commit batches that fell back to per-request transactions.",
-            load(&self.acct.batch_fallbacks),
-        );
-        w.counter(
-            "proust_connections_total",
-            "Client connections accepted since startup.",
-            load(&self.acct.connections_total),
-        );
-        w.gauge(
-            "proust_connections_open",
-            "Client connections currently being served.",
-            load(&self.acct.connections_open) as f64,
-        );
-        w.counter(
-            "proust_slow_txns_total",
-            "Requests that exceeded the slow-transaction threshold.",
-            load(&self.acct.slow_txns),
-        );
-
-        // --- Reactor serving path --------------------------------------
-        w.counter(
-            "proust_reactor_wakeups_total",
-            "epoll_wait returns across all reactor shards.",
-            reactor.map_or(0, |r| r.wakeups_total()),
-        );
-        w.counter(
-            "proust_conn_backpressure_total",
-            "Connections paused for crossing the output high-water mark.",
-            reactor.map_or(0, |r| r.backpressure_total()),
-        );
-        w.header("proust_connections", "Open connections per reactor shard.", "gauge");
-        match reactor {
-            Some(r) => {
-                for (shard, count) in r.connections_per_shard().into_iter().enumerate() {
-                    let label = shard.to_string();
-                    w.sample("proust_connections", &[("shard", &label)], count as f64);
-                }
-            }
-            None => w.sample("proust_connections", &[("shard", "0")], 0.0),
-        }
-        let empty_ready = Histogram::new();
-        w.header(
-            "proust_reactor_ready_events",
-            "Ready-event batch size per epoll wakeup.",
-            "histogram",
-        );
-        w.histogram(
-            "proust_reactor_ready_events",
-            &[],
-            reactor.map_or(&empty_ready, |r| &r.ready_events),
-        );
-
-        w.counter(
-            "proust_txn_starts_total",
-            "Transaction attempts started, including retries.",
-            stats.starts,
-        );
-        w.counter("proust_txn_commits_total", "Transactions committed.", stats.commits);
-        w.header("proust_txn_aborts_total", "Permanent aborts by kind.", "counter");
-        w.sample("proust_txn_aborts_total", &[("kind", "user")], stats.user_aborts as f64);
-        w.sample("proust_txn_aborts_total", &[("kind", "exhausted")], stats.exhausted as f64);
-        w.header("proust_txn_conflicts_total", "Transient conflict aborts by kind.", "counter");
-        for (kind, count) in [
-            ("read_invalid", stats.read_invalid),
-            ("read_too_new", stats.read_too_new),
-            ("write_locked", stats.write_locked),
-            ("read_locked", stats.read_locked),
-            ("visible_readers", stats.visible_readers),
-            ("wounded", stats.wounded),
-            ("abstract_lock", stats.abstract_lock),
-            ("external", stats.external),
-        ] {
-            w.sample("proust_txn_conflicts_total", &[("kind", kind)], count as f64);
-        }
-        w.counter(
-            "proust_retries_requested_total",
-            "User-requested retries (Harris retry).",
-            stats.retries_requested,
-        );
-        w.counter(
-            "proust_wounds_issued_total",
-            "Wounds issued by contention-management arbitration.",
-            stats.wounds_issued,
-        );
-        w.counter(
-            "proust_serial_escalations_total",
-            "Escalations into serial-irrevocable mode.",
-            stats.serial_escalations,
-        );
-        w.gauge(
-            "proust_txn_in_flight",
-            "Transactions currently running.",
-            self.stm.in_flight() as f64,
-        );
-        w.gauge(
-            "proust_serial_mode",
-            "1 while the serial-irrevocable gate is held.",
-            u64::from(self.stm.serial_mode_active()) as f64,
-        );
-        w.gauge(
-            "proust_trace_sample_every",
-            "Flight-recorder sampling period (1-in-N transactions; 0 = off).",
-            Tracer::global().sample_every() as f64,
-        );
-
-        w.header(
-            "proust_request_latency_ns",
-            "Request service latency (parse to response) by op, ns.",
-            "histogram",
-        );
-        for ((name, _), hist) in OP_LABELS.iter().zip(self.op_latency.iter()) {
-            if hist.count() > 0 {
-                w.histogram("proust_request_latency_ns", &[("op", name)], hist);
-            }
-        }
-        // --- Request-lifecycle waterfall -------------------------------
-        // All eight stage series always emit their full shared-bound
-        // bucket ladder (even empty), so dashboards can stack the stages
-        // into a waterfall without branching on which stages have fired.
-        w.counter(
-            "proust_slow_requests_total",
-            "Requests whose waterfall breached the slow threshold.",
-            load(&self.acct.slow_requests),
-        );
-        w.header(
-            "proust_request_stage_ns",
-            "Request-lifecycle stage latency by pipeline stage, ns.",
-            "histogram",
-        );
-        for (stage, hist) in STAGES.iter().zip(self.stage_ns.iter()) {
-            w.histogram_bounded(
-                "proust_request_stage_ns",
-                &[("stage", stage.name())],
-                hist,
-                &SHARED_NS_BUCKET_BOUNDS,
-            );
-        }
-        w.header(
-            "proust_batch_occupancy",
-            "Pending parsed ops per commit-batch flush.",
-            "histogram",
-        );
-        w.histogram_bounded(
-            "proust_batch_occupancy",
-            &[],
-            &self.batch_occupancy,
-            &OCCUPANCY_BUCKET_BOUNDS,
-        );
-        // Phase and contention histograms share one canonical bucket table
-        // (`SHARED_NS_BUCKET_BOUNDS`), so dashboards can overlay any pair
-        // of `le` series without re-bucketing.
-        w.header(
-            "proust_txn_phase_ns",
-            "Transaction phase latency (trace feature only), ns.",
-            "histogram",
-        );
-        for (phase, hist) in [
-            ("txn", &metrics.txn_latency),
-            ("validation", &metrics.validation),
-            ("lock_writeback", &metrics.lock_writeback),
-            ("replay", &metrics.replay),
-        ] {
-            if hist.count() > 0 {
-                w.histogram_bounded(
-                    "proust_txn_phase_ns",
-                    &[("phase", phase)],
-                    hist,
-                    &SHARED_NS_BUCKET_BOUNDS,
-                );
-            }
-        }
-
-        // --- Contention observatory -----------------------------------
-        w.header(
-            "proust_lock_wait_ns",
-            "Contended lock/ownership wait time by blocked op site, ns.",
-            "histogram",
-        );
-        for (site, hist) in metrics.lock_wait.cells() {
-            w.histogram_bounded(
-                "proust_lock_wait_ns",
-                &[("site", site.name())],
-                &hist,
-                &SHARED_NS_BUCKET_BOUNDS,
-            );
-        }
-        w.histogram_family_bounded(
-            "proust_lock_hold_ns",
-            "Lock/ownership hold duration (sampled transactions), ns.",
-            &metrics.lock_hold,
-        );
-        w.histogram_family_bounded(
-            "proust_park_ns",
-            "Condvar park latency of blocked retry and serial-gate waiters, ns.",
-            &metrics.park,
-        );
-        w.counter(
-            "proust_lock_waits_total",
-            "Contended lock/ownership acquisitions that had to wait.",
-            stats.lock_waits,
-        );
-        w.counter(
-            "proust_lock_wait_ns_total",
-            "Cumulative nanoseconds spent waiting on contended locks.",
-            stats.lock_wait_ns,
-        );
-        w.counter(
-            "proust_parks_total",
-            "Threads parked on the commit-wakeup channel or serial gate.",
-            stats.parks,
-        );
-        w.counter(
-            "proust_serial_held_ns_total",
-            "Cumulative nanoseconds the serial-irrevocable token was held.",
-            stats.serial_held_ns,
-        );
-        w.gauge(
-            "proust_serial_queue_depth",
-            "Threads currently parked at the serial-irrevocable gate.",
-            self.stm.serial_queue_depth() as f64,
-        );
-
-        // --- Durability ------------------------------------------------
-        // Always exported (zeros without --data-dir) so dashboards and
-        // the smoke test's family assertions never branch on config.
-        w.gauge(
-            "proust_wal_enabled",
-            "1 when a write-ahead log is attached (--data-dir).",
-            f64::from(u8::from(self.wal.is_some())),
-        );
-        w.counter(
-            "proust_wal_append_bytes_total",
-            "Framed bytes appended to the write-ahead log.",
-            self.wal_u64(|w| load(&w.stats().append_bytes)),
-        );
-        w.counter(
-            "proust_wal_records_total",
-            "Commit records appended to the write-ahead log.",
-            self.wal_u64(|w| load(&w.stats().records)),
-        );
-        w.counter(
-            "proust_wal_fsyncs_total",
-            "fsync calls that hit the log file (group-commit absorbed syncs excluded).",
-            self.wal_u64(|w| load(&w.stats().fsyncs)),
-        );
-        w.counter(
-            "proust_wal_syncs_absorbed_total",
-            "Sync requests satisfied by another commit's covering fsync.",
-            self.wal_u64(|w| load(&w.stats().syncs_absorbed)),
-        );
-        w.counter(
-            "proust_wal_rotations_total",
-            "Segment rotations since the log was opened.",
-            self.wal_u64(|w| load(&w.stats().rotations)),
-        );
-        w.gauge(
-            "proust_wal_segments",
-            "Live write-ahead-log segment files.",
-            self.wal_u64(|w| load(&w.stats().segments)) as f64,
-        );
-        w.gauge(
-            "proust_wal_durable_lsn",
-            "Highest log sequence number known durable on disk.",
-            self.wal_u64(Wal::durable_lsn) as f64,
-        );
-        w.gauge(
-            "proust_wal_checkpoint_lsn",
-            "LSN covered by the most recent checkpoint (0 = none).",
-            self.wal_u64(Wal::checkpoint_lsn) as f64,
-        );
-        w.counter(
-            "proust_recovery_replayed_total",
-            "Committed WAL records replayed during startup recovery.",
-            load(&self.acct.recovery_replayed),
-        );
-        w.counter(
-            "proust_recovery_truncated_bytes_total",
-            "Torn-tail bytes truncated (never replayed) during recovery.",
-            load(&self.acct.recovery_truncated_bytes),
-        );
-        w.counter(
-            "proust_wal_torn_tails_total",
-            "Torn tails detected and healed during recovery.",
-            load(&self.acct.recovery_torn_tails),
-        );
-        w.header("proust_wal_fsync_ns", "WAL fsync latency, ns.", "histogram");
-        w.histogram_bounded(
-            "proust_wal_fsync_ns",
-            &[],
-            &self.wal_fsync_ns,
-            &SHARED_NS_BUCKET_BOUNDS,
-        );
-
-        w.header(
-            "proust_conflict_pairs_total",
-            "Conflict-driven aborts by (aborter op site, victim op site).",
-            "counter",
-        );
-        for cell in metrics.conflicts.cells() {
-            w.sample(
-                "proust_conflict_pairs_total",
-                &[("aborter_site", cell.aborter.name()), ("victim_site", cell.victim.name())],
-                cell.count as f64,
-            );
-        }
-        w.header(
-            "proust_contention_ns_total",
-            "Victim wall-clock nanoseconds lost, by (aborter, victim) op-site pair.",
-            "counter",
-        );
-        for cell in metrics.conflicts.cells() {
-            w.sample(
-                "proust_contention_ns_total",
-                &[("aborter_site", cell.aborter.name()), ("victim_site", cell.victim.name())],
-                cell.ns_lost as f64,
-            );
-        }
-        w.finish()
     }
 }
 
@@ -1756,6 +1270,8 @@ mod tests {
 
     #[test]
     fn stats_json_has_the_report_shape() {
+        // Key names and order are pinned by `tests/golden.rs`; this checks
+        // values and nested shapes.
         let engine = engine();
         single(&engine, "PUT m 1 10");
         let json = engine.stats_json(None).to_json();
@@ -1765,66 +1281,33 @@ mod tests {
         assert_eq!(parsed.get("protocol_errors").and_then(JsonValue::as_u64), Some(0));
         assert_eq!(parsed.get("in_flight").and_then(JsonValue::as_u64), Some(0));
         assert!(parsed.get("conflict_matrix_top").and_then(JsonValue::as_array).is_some());
-        assert!(parsed.get("op_p99_ns").and_then(|o| o.get("get")).is_some());
-        // STATS v3: cumulative contention counters ride along.
-        for field in [
-            "lock_waits",
-            "lock_wait_ns",
-            "parks",
-            "park_ns",
-            "serial_queue_depth",
-            "serial_held_ns",
-            "contention_ns_lost",
-        ] {
-            assert!(parsed.get(field).and_then(JsonValue::as_u64).is_some(), "missing {field}");
+        // Durability fields read zero without --data-dir.
+        let JsonValue::Obj(fields) = &parsed else { panic!("STATS is an object") };
+        let durability: Vec<&(String, JsonValue)> = fields
+            .iter()
+            .filter(|(key, _)| key.starts_with("wal_") || key.starts_with("recovery_"))
+            .collect();
+        assert_eq!(durability.len(), 12);
+        for (key, value) in durability {
+            assert_eq!(value.as_u64(), Some(0), "field {key}");
         }
-        // STATS v4: durability fields are always present, zeroed without
-        // --data-dir.
-        for field in [
-            "wal_enabled",
-            "wal_records",
-            "wal_append_bytes",
-            "wal_fsyncs",
-            "wal_segments",
-            "wal_last_lsn",
-            "wal_durable_lsn",
-            "wal_checkpoint_lsn",
-            "wal_fsync_p99_ns",
-            "recovery_replayed",
-            "recovery_truncated_bytes",
-            "recovery_torn_tails",
-        ] {
-            assert_eq!(parsed.get(field).and_then(JsonValue::as_u64), Some(0), "field {field}");
-        }
-        assert!(parsed.get("fsync_policy").is_some());
-        // STATS v6: request-waterfall stage quantiles and tail exemplars.
-        assert!(parsed.get("slow_requests").and_then(JsonValue::as_u64).is_some());
         for field in ["stage_p50_ns", "stage_p99_ns"] {
             let stages = parsed.get(field).expect(field);
-            for stage in [
-                "sock_read",
-                "parse",
-                "batch_wait",
-                "stm_exec",
-                "wal_append",
-                "fsync_wait",
-                "resp_encode",
-                "sock_flush",
-            ] {
+            for stage in STAGES {
                 assert!(
-                    stages.get(stage).and_then(JsonValue::as_u64).is_some(),
-                    "{field} missing stage {stage}"
+                    stages.get(stage.name()).and_then(JsonValue::as_u64).is_some(),
+                    "{field} missing stage {}",
+                    stage.name()
                 );
             }
         }
-        assert!(parsed.get("top_stage").is_some());
-        assert!(parsed.get("batch_occupancy_p50").and_then(JsonValue::as_u64).is_some());
-        assert!(parsed.get("batch_occupancy_p99").and_then(JsonValue::as_u64).is_some());
         assert!(parsed.get("stage_exemplars").and_then(JsonValue::as_array).is_some());
     }
 
     #[test]
     fn prometheus_exposition_covers_the_required_families() {
+        // Family headers are pinned by `tests/golden.rs`; this checks
+        // samples, label sets and bucket ladders.
         let engine = engine();
         single(&engine, "PUT m 1 10");
         single(&engine, "GET m 1");
@@ -1832,104 +1315,35 @@ mod tests {
         engine.record_op_latency(&op, 12_345);
         let text = engine.prometheus(None);
         let samples = proust_stm::obs::parse_exposition(&text).expect("payload parses");
-        for family in [
-            "proust_requests_total",
-            "proust_txn_starts_total",
-            "proust_txn_commits_total",
-            "proust_txn_in_flight",
-            "proust_serial_mode",
-            "proust_connections_open",
-            "proust_slow_txns_total",
-            "proust_trace_sample_every",
-            "proust_lock_waits_total",
-            "proust_lock_wait_ns_total",
-            "proust_parks_total",
-            "proust_serial_held_ns_total",
-            "proust_serial_queue_depth",
-            "proust_wal_enabled",
-            "proust_wal_append_bytes_total",
-            "proust_wal_records_total",
-            "proust_wal_fsyncs_total",
-            "proust_wal_segments",
-            "proust_recovery_replayed_total",
-            "proust_recovery_truncated_bytes_total",
-            "proust_wal_torn_tails_total",
-            "proust_slow_requests_total",
-        ] {
-            assert!(samples.iter().any(|s| s.name == family), "missing family {family}");
-        }
-        // The request-stage histogram family carries every pipeline stage
-        // as a label, each with the full shared bucket ladder.
-        for stage in [
-            "sock_read",
-            "parse",
-            "batch_wait",
-            "stm_exec",
-            "wal_append",
-            "fsync_wait",
-            "resp_encode",
-            "sock_flush",
-        ] {
-            let les: Vec<&str> = samples
-                .iter()
-                .filter(|s| {
-                    s.name == "proust_request_stage_ns_bucket" && s.label("stage") == Some(stage)
-                })
-                .filter_map(|s| s.label("le"))
-                .collect();
-            assert!(les.contains(&"+Inf"), "stage {stage} must end in +Inf");
-            assert_eq!(
-                les.len(),
-                proust_stm::obs::SHARED_NS_BUCKET_BOUNDS.len() + 1,
-                "stage {stage} must emit the full shared bucket table"
-            );
-        }
-        let occupancy_les: Vec<&str> = samples
-            .iter()
-            .filter(|s| s.name == "proust_batch_occupancy_bucket")
-            .filter_map(|s| s.label("le"))
-            .collect();
-        assert!(occupancy_les.contains(&"+Inf"));
-        // The fsync histogram emits its full bucket ladder even when empty.
-        let fsync_les: Vec<&str> = samples
-            .iter()
-            .filter(|s| s.name == "proust_wal_fsync_ns_bucket")
-            .filter_map(|s| s.label("le"))
-            .collect();
-        assert!(fsync_les.contains(&"+Inf"));
-        // Contention histograms emit their full shared-bound bucket ladder
-        // even when empty, so scrapers always see the families.
-        for family in ["proust_lock_hold_ns", "proust_park_ns"] {
-            let bucket_name = format!("{family}_bucket");
-            let les: Vec<&str> = samples
+        let les = |bucket_name: &str, label: Option<(&str, &str)>| -> Vec<&str> {
+            samples
                 .iter()
                 .filter(|s| s.name == bucket_name)
+                .filter(|s| label.is_none_or(|(key, value)| s.label(key) == Some(value)))
                 .filter_map(|s| s.label("le"))
-                .collect();
-            assert!(les.contains(&"+Inf"), "{family} must end in +Inf");
-            assert_eq!(
-                les.len(),
-                proust_stm::obs::SHARED_NS_BUCKET_BOUNDS.len() + 1,
-                "{family} must emit the full shared bucket table"
-            );
+                .collect()
+        };
+        let full_ladder = proust_stm::obs::SHARED_NS_BUCKET_BOUNDS.len() + 1;
+        // Every pipeline stage, and the hold and park histograms, emit the
+        // full shared bucket ladder even when empty.
+        for stage in STAGES {
+            let les = les("proust_request_stage_ns_bucket", Some(("stage", stage.name())));
+            assert!(les.contains(&"+Inf"), "stage {} must end in +Inf", stage.name());
+            assert_eq!(les.len(), full_ladder, "stage {} ladder", stage.name());
         }
-        // Per-site wait and time-weighted pair families are declared even
-        // before any contention has been observed.
-        assert!(text.contains("# TYPE proust_lock_wait_ns histogram"));
-        assert!(text.contains("# TYPE proust_contention_ns_total counter"));
+        for family in ["proust_lock_hold_ns", "proust_park_ns"] {
+            let les = les(&format!("{family}_bucket"), None);
+            assert!(les.contains(&"+Inf"), "{family} must end in +Inf");
+            assert_eq!(les.len(), full_ladder, "{family} ladder");
+        }
+        assert!(les("proust_batch_occupancy_bucket", None).contains(&"+Inf"));
+        assert!(les("proust_wal_fsync_ns_bucket", None).contains(&"+Inf"));
         // Aborts and conflicts are labeled breakdowns.
-        let abort_kinds: Vec<&str> = samples
-            .iter()
-            .filter(|s| s.name == "proust_txn_aborts_total")
-            .filter_map(|s| s.label("kind"))
-            .collect();
-        assert_eq!(abort_kinds, ["user", "exhausted"]);
-        let conflict_kinds: Vec<&str> = samples
-            .iter()
-            .filter(|s| s.name == "proust_txn_conflicts_total")
-            .filter_map(|s| s.label("kind"))
-            .collect();
-        assert_eq!(conflict_kinds.len(), 8);
+        let kinds = |family: &str| -> Vec<&str> {
+            samples.iter().filter(|s| s.name == family).filter_map(|s| s.label("kind")).collect()
+        };
+        assert_eq!(kinds("proust_txn_aborts_total"), ["user", "exhausted"]);
+        assert_eq!(kinds("proust_txn_conflicts_total").len(), 8);
         // The recorded put latency shows up as cumulative buckets ending
         // in +Inf.
         let put_buckets: Vec<f64> = samples

@@ -40,6 +40,7 @@
 
 mod binary;
 pub mod engine;
+mod metrics;
 pub mod proto;
 
 use std::io::{Read, Write};

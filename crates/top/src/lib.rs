@@ -541,4 +541,33 @@ mod tests {
         let colored = render_frame(&frame, "127.0.0.1:9100", true);
         assert!(colored.contains("\x1b[1m"), "colored render must use ANSI styling");
     }
+
+    #[test]
+    fn every_family_the_dashboard_reads_is_one_the_server_exports() {
+        // The server's family headers, pinned by its golden test.
+        let golden = include_str!("../../server/tests/golden/prometheus_headers.txt");
+        let exported: Vec<&str> = golden
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .filter_map(|line| line.split(' ').next())
+            .collect();
+        // Every `"proust_…"` literal in the non-test source is a family
+        // the dashboard reads; a `_sum` series belongs to its histogram.
+        let source = include_str!("lib.rs");
+        let code = &source[..source.find("#[cfg(test)]").expect("test module")];
+        let read: Vec<&str> = code
+            .split('"')
+            .skip(1)
+            .step_by(2)
+            .filter(|literal| literal.starts_with("proust_"))
+            .map(|literal| literal.strip_suffix("_sum").unwrap_or(literal))
+            .collect();
+        assert!(read.len() >= 15, "found only {read:?}");
+        for family in read {
+            assert!(
+                exported.contains(&family),
+                "dashboard reads {family}, the server exports none"
+            );
+        }
+    }
 }

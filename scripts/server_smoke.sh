@@ -197,25 +197,14 @@ scrape() {
     exec 9>&- 9<&-
 }
 
-# Every family the dashboard contract promises must be present before
-# any load arrives (histogram series appear once ops have landed, so the
-# latency family is asserted on the post-load scrape instead).
+# Every family the golden header file pins must be present before any
+# load arrives: the server writes every header unconditionally, so the
+# pre-load scrape already carries them all. One list, shared with
+# crates/server/tests/golden.rs.
 BASELINE_SCRAPE="$(scrape)"
-for fam in proust_requests_total proust_connections_open proust_connections_total \
-           proust_txn_starts_total proust_txn_commits_total proust_txn_aborts_total \
-           proust_txn_conflicts_total proust_txn_in_flight proust_wounds_issued_total \
-           proust_serial_escalations_total proust_slow_txns_total proust_trace_sample_every \
-           proust_lock_wait_ns proust_lock_hold_ns proust_park_ns \
-           proust_lock_waits_total proust_serial_held_ns_total \
-           proust_serial_queue_depth proust_contention_ns_total \
-           proust_wal_enabled proust_wal_append_bytes_total proust_wal_records_total \
-           proust_wal_fsyncs_total proust_wal_segments proust_wal_fsync_ns \
-           proust_recovery_replayed_total proust_recovery_truncated_bytes_total \
-           proust_wal_torn_tails_total \
-           proust_reactor_wakeups_total proust_reactor_ready_events \
-           proust_connections proust_conn_backpressure_total \
-           proust_slow_requests_total proust_request_stage_ns \
-           proust_batch_occupancy; do
+FAMILIES="$(awk '$1 == "#" && $2 == "TYPE" { print $3 }' crates/server/tests/golden/prometheus_headers.txt)"
+[[ -n "$FAMILIES" ]] || { echo "no families in the golden header file" >&2; exit 1; }
+for fam in $FAMILIES; do
     grep -q "^# TYPE $fam " <<<"$BASELINE_SCRAPE" || {
         echo "metrics endpoint is missing family $fam" >&2
         exit 1
