@@ -1,9 +1,16 @@
-//! A persistent (immutable, structurally-shared) hash array mapped trie.
+//! A persistent (structurally-shared) hash array mapped trie.
 //!
-//! This is the functional core under [`SnapMap`](crate::SnapMap): because
-//! every update returns a new root that shares almost all structure with
-//! the old one, taking a snapshot of the concurrent map is O(1) — exactly
-//! the property the paper's `LazyTrieMap` needs from Scala's `TrieMap`.
+//! This is the functional core under [`SnapMap`](crate::SnapMap): a clone
+//! shares every node with the original, so taking a snapshot of the
+//! concurrent map is O(1) — exactly the property the paper's
+//! `LazyTrieMap` needs from Scala's `TrieMap`.
+//!
+//! Updates descend through `&mut Arc<Node>` and `Arc::make_mut` each node
+//! they write. A node no clone shares is written in place; a shared one is
+//! copied once, after which the copy is unique and later writes to it are
+//! in place again. This is the Ctrie's generation check (a node stamped
+//! with an older generation than the root is copied before it is written)
+//! with the reference count standing in for the generation stamp.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
@@ -16,6 +23,7 @@ const FANOUT: u32 = 1 << BITS; // 32
 const MASK: u64 = (FANOUT - 1) as u64;
 const MAX_SHIFT: u32 = 60; // 64 bits of hash / 5 bits per level, floored to a multiple of 5
 
+#[derive(Clone)]
 enum Node<K, V> {
     Leaf {
         hash: u64,
@@ -46,15 +54,20 @@ fn index_bit(hash: u64, shift: u32) -> (usize, u32) {
 }
 
 #[inline]
+fn next_shift(shift: u32) -> u32 {
+    (shift + BITS).min(MAX_SHIFT)
+}
+
+#[inline]
 fn child_slot(bitmap: u32, bit: u32) -> usize {
     (bitmap & (bit - 1)).count_ones() as usize
 }
 
 /// A persistent hash map with O(1) clone.
 ///
-/// All operations return new maps (or mutate `self` by swapping in a new
-/// root); existing clones are unaffected. `K` and `V` are cloned only along
-/// the rebuilt path, so updates are O(log n) allocations.
+/// Existing clones are unaffected by later updates. An update copies only
+/// the nodes on its path that a clone still shares, so on an unshared map
+/// `insert` and `remove` allocate at most the nodes they add.
 ///
 /// # Examples
 ///
@@ -137,8 +150,15 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        self.find(self.hash_of(key), key)
+    }
+
+    fn find<Q>(&self, hash: u64, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
         let mut node = self.root.as_deref()?;
-        let hash = self.hash_of(key);
         let mut shift = 0;
         loop {
             match node {
@@ -157,7 +177,7 @@ where
                         return None;
                     }
                     node = &children[child_slot(*bitmap, bit)];
-                    shift = (shift + BITS).min(MAX_SHIFT);
+                    shift = next_shift(shift);
                 }
             }
         }
@@ -175,11 +195,13 @@ where
     /// Insert a key/value pair, returning the previous value if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let hash = self.hash_of(&key);
-        let (new_root, old) = match &self.root {
-            None => (Arc::new(Node::Leaf { hash, key, value }), None),
-            Some(root) => insert_node(root, hash, key, value, 0),
+        let old = match &mut self.root {
+            None => {
+                self.root = Some(Arc::new(Node::Leaf { hash, key, value }));
+                None
+            }
+            Some(root) => insert_at(root, hash, key, value, 0),
         };
-        self.root = Some(new_root);
         if old.is_none() {
             self.len += 1;
         }
@@ -192,14 +214,17 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        // Look before writing: a miss copies nothing, even when shared.
         let hash = self.hash_of(key);
-        let root = self.root.as_ref()?;
-        let (new_root, old) = remove_node(root, hash, key, 0);
-        if old.is_some() {
-            self.root = new_root;
-            self.len -= 1;
-        }
-        old
+        self.find(hash, key)?;
+        let root = self.root.as_mut()?;
+        let old = if matches!(**root, Node::Leaf { .. }) {
+            leaf_value(self.root.take().expect("root is present"))
+        } else {
+            remove_at(root, hash, key, 0)
+        };
+        self.len -= 1;
+        Some(old)
     }
 
     /// Iterate over entries in unspecified order.
@@ -224,77 +249,6 @@ where
     }
 }
 
-fn insert_node<K, V>(
-    node: &Arc<Node<K, V>>,
-    hash: u64,
-    key: K,
-    value: V,
-    shift: u32,
-) -> (Arc<Node<K, V>>, Option<V>)
-where
-    K: Hash + Eq + Clone,
-    V: Clone,
-{
-    match node.as_ref() {
-        Node::Leaf { hash: h, key: k, value: v } => {
-            if *h == hash && *k == key {
-                return (Arc::new(Node::Leaf { hash, key, value }), Some(v.clone()));
-            }
-            if *h == hash {
-                return (
-                    Arc::new(Node::Collision {
-                        hash,
-                        entries: vec![(k.clone(), v.clone()), (key, value)],
-                    }),
-                    None,
-                );
-            }
-            let merged = merge_leaves(
-                Arc::clone(node),
-                *h,
-                Arc::new(Node::Leaf { hash, key, value }),
-                hash,
-                shift,
-            );
-            (merged, None)
-        }
-        Node::Collision { hash: h, entries } => {
-            if *h == hash {
-                let mut entries = entries.clone();
-                if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
-                    let old = std::mem::replace(&mut slot.1, value);
-                    return (Arc::new(Node::Collision { hash, entries }), Some(old));
-                }
-                entries.push((key, value));
-                return (Arc::new(Node::Collision { hash, entries }), None);
-            }
-            let merged = merge_leaves(
-                Arc::clone(node),
-                *h,
-                Arc::new(Node::Leaf { hash, key, value }),
-                hash,
-                shift,
-            );
-            (merged, None)
-        }
-        Node::Branch { bitmap, children } => {
-            let (_, bit) = index_bit(hash, shift);
-            let slot = child_slot(*bitmap, bit);
-            if bitmap & bit != 0 {
-                let (child, old) =
-                    insert_node(&children[slot], hash, key, value, (shift + BITS).min(MAX_SHIFT));
-                let mut children = children.clone();
-                children[slot] = child;
-                (Arc::new(Node::Branch { bitmap: *bitmap, children }), old)
-            } else {
-                let mut children = children.clone();
-                children.insert(slot, Arc::new(Node::Leaf { hash, key, value }));
-                (Arc::new(Node::Branch { bitmap: bitmap | bit, children }), None)
-            }
-        }
-    }
-}
-
 /// Build the branch structure distinguishing two nodes whose hashes differ
 /// somewhere at or below `shift`.
 fn merge_leaves<K, V>(
@@ -308,7 +262,7 @@ fn merge_leaves<K, V>(
     let (a_idx, a_bit) = index_bit(a_hash, shift);
     let (b_idx, b_bit) = index_bit(b_hash, shift);
     if a_idx == b_idx {
-        let inner = merge_leaves(a, a_hash, b, b_hash, (shift + BITS).min(MAX_SHIFT));
+        let inner = merge_leaves(a, a_hash, b, b_hash, next_shift(shift));
         Arc::new(Node::Branch { bitmap: a_bit, children: vec![inner] })
     } else {
         let children = if a_idx < b_idx { vec![a, b] } else { vec![b, a] };
@@ -316,77 +270,99 @@ fn merge_leaves<K, V>(
     }
 }
 
-fn remove_node<K, V, Q>(
-    node: &Arc<Node<K, V>>,
-    hash: u64,
-    key: &Q,
-    shift: u32,
-) -> (Option<Arc<Node<K, V>>>, Option<V>)
+/// Insert below `node`, which already exists. Each node on the path is
+/// made unique with `Arc::make_mut`: copied if a clone of the map still
+/// shares it, written in place otherwise.
+fn insert_at<K, V>(node: &mut Arc<Node<K, V>>, hash: u64, key: K, value: V, shift: u32) -> Option<V>
 where
-    K: Hash + Eq + Clone + Borrow<Q>,
+    K: Eq + Clone,
     V: Clone,
-    Q: Hash + Eq + ?Sized,
 {
+    // A new key beside a leaf or collision node replaces that slot
+    // without writing the node itself, so it need not be copied.
     match node.as_ref() {
-        Node::Leaf { hash: h, key: k, value } => {
-            if *h == hash && k.borrow() == key {
-                (None, Some(value.clone()))
-            } else {
-                (Some(Arc::clone(node)), None)
-            }
+        Node::Leaf { hash: h, key: k, value: v } if *h == hash && *k != key => {
+            let entries = vec![(k.clone(), v.clone()), (key, value)];
+            *node = Arc::new(Node::Collision { hash, entries });
+            return None;
         }
-        Node::Collision { hash: h, entries } => {
-            if *h != hash {
-                return (Some(Arc::clone(node)), None);
+        Node::Leaf { hash: h, .. } | Node::Collision { hash: h, .. } if *h != hash => {
+            let fresh = Arc::new(Node::Leaf { hash, key, value });
+            *node = merge_leaves(Arc::clone(node), *h, fresh, hash, shift);
+            return None;
+        }
+        _ => {}
+    }
+    match Arc::make_mut(node) {
+        Node::Leaf { value: v, .. } => Some(std::mem::replace(v, value)),
+        Node::Collision { entries, .. } => {
+            if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
+                return Some(std::mem::replace(&mut slot.1, value));
             }
-            let Some(pos) = entries.iter().position(|(k, _)| k.borrow() == key) else {
-                return (Some(Arc::clone(node)), None);
-            };
-            let mut entries = entries.clone();
-            let (_, old) = entries.remove(pos);
-            let replacement = if entries.len() == 1 {
-                let (k, v) = entries.pop().expect("collision retains one entry");
-                Arc::new(Node::Leaf { hash, key: k, value: v })
-            } else {
-                Arc::new(Node::Collision { hash, entries })
-            };
-            (Some(replacement), Some(old))
+            entries.push((key, value));
+            None
         }
         Node::Branch { bitmap, children } => {
             let (_, bit) = index_bit(hash, shift);
-            if bitmap & bit == 0 {
-                return (Some(Arc::clone(node)), None);
-            }
             let slot = child_slot(*bitmap, bit);
-            let (new_child, old) =
-                remove_node(&children[slot], hash, key, (shift + BITS).min(MAX_SHIFT));
-            if old.is_none() {
-                return (Some(Arc::clone(node)), None);
+            if *bitmap & bit != 0 {
+                return insert_at(&mut children[slot], hash, key, value, next_shift(shift));
             }
-            match new_child {
-                Some(child) => {
-                    // Collapse a branch that holds a single non-branch child.
-                    if children.len() == 1 && !child.is_branch() {
-                        return (Some(child), old);
-                    }
-                    let mut children = children.clone();
-                    children[slot] = child;
-                    (Some(Arc::new(Node::Branch { bitmap: *bitmap, children })), old)
-                }
-                None => {
-                    if children.len() == 1 {
-                        return (None, old);
-                    }
-                    let mut children = children.clone();
-                    children.remove(slot);
-                    let bitmap = bitmap & !bit;
-                    if children.len() == 1 && !children[0].is_branch() {
-                        return (Some(children.pop().expect("one child left")), old);
-                    }
-                    (Some(Arc::new(Node::Branch { bitmap, children })), old)
-                }
-            }
+            children.insert(slot, Arc::new(Node::Leaf { hash, key, value }));
+            *bitmap |= bit;
+            None
         }
+    }
+}
+
+/// Remove `key`, which the caller has checked is present below `node`,
+/// a collision or branch node. Copies exactly the nodes it writes that a
+/// clone still shares.
+fn remove_at<K, V, Q>(node: &mut Arc<Node<K, V>>, hash: u64, key: &Q, shift: u32) -> V
+where
+    K: Clone + Borrow<Q>,
+    V: Clone,
+    Q: Eq + ?Sized,
+{
+    match Arc::make_mut(node) {
+        Node::Leaf { .. } => unreachable!("leaves are removed by their parent"),
+        Node::Collision { entries, .. } => {
+            let pos = entries.iter().position(|(k, _)| k.borrow() == key).expect("key is present");
+            let (_, old) = entries.swap_remove(pos);
+            if entries.len() == 1 {
+                let (key, value) = entries.pop().expect("one entry left");
+                *node = Arc::new(Node::Leaf { hash, key, value });
+            }
+            old
+        }
+        Node::Branch { bitmap, children } => {
+            let (_, bit) = index_bit(hash, shift);
+            let slot = child_slot(*bitmap, bit);
+            let old = if matches!(*children[slot], Node::Leaf { .. }) {
+                *bitmap &= !bit;
+                leaf_value(children.remove(slot))
+            } else {
+                remove_at(&mut children[slot], hash, key, next_shift(shift))
+            };
+            // Collapse a branch left holding a single non-branch child.
+            if children.len() == 1 && !children[0].is_branch() {
+                *node = children.pop().expect("one child left");
+            }
+            old
+        }
+    }
+}
+
+/// The value of a detached leaf: moved out if this was the last handle,
+/// cloned if a snapshot still holds it.
+fn leaf_value<K, V: Clone>(leaf: Arc<Node<K, V>>) -> V {
+    match Arc::try_unwrap(leaf) {
+        Ok(Node::Leaf { value, .. }) => value,
+        Err(shared) => match &*shared {
+            Node::Leaf { value, .. } => value.clone(),
+            _ => unreachable!("not a leaf"),
+        },
+        Ok(_) => unreachable!("not a leaf"),
     }
 }
 
@@ -470,7 +446,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn insert_get_remove_roundtrip() {
@@ -587,5 +563,154 @@ mod tests {
     fn from_iterator_collects() {
         let map: Hamt<u32, u32> = (0..10).map(|i| (i, i)).collect();
         assert_eq!(map.len(), 10);
+    }
+
+    /// The address of every node of `map`.
+    fn nodes<K, V, S>(map: &Hamt<K, V, S>) -> Vec<*const Node<K, V>> {
+        fn walk<K, V>(node: &Arc<Node<K, V>>, out: &mut Vec<*const Node<K, V>>) {
+            out.push(Arc::as_ptr(node));
+            if let Node::Branch { children, .. } = node.as_ref() {
+                children.iter().for_each(|child| walk(child, out));
+            }
+        }
+        let mut out = Vec::new();
+        if let Some(root) = &map.root {
+            walk(root, &mut out);
+        }
+        out
+    }
+
+    /// How many nodes lie on the path from the root to `key`'s node.
+    fn path_len(map: &Hamt<u32, u32>, key: u32) -> usize {
+        let hash = map.hash_of(&key);
+        let (mut node, mut shift, mut len) = (map.root.as_deref().expect("non-empty"), 0, 1);
+        while let Node::Branch { bitmap, children } = node {
+            node = &children[child_slot(*bitmap, index_bit(hash, shift).1)];
+            shift = next_shift(shift);
+            len += 1;
+        }
+        len
+    }
+
+    fn filled(n: u32) -> Hamt<u32, u32> {
+        (0..n).map(|i| (i, i)).collect()
+    }
+
+    #[test]
+    fn miss_on_a_shared_trie_copies_nothing() {
+        let mut map = filled(1_000);
+        let snapshot = map.clone();
+        let before = nodes(&map);
+        assert_eq!(map.remove(&5_000), None);
+        assert_eq!(nodes(&map), before);
+        assert_eq!(nodes(&snapshot), before);
+    }
+
+    #[test]
+    fn updates_on_an_unshared_trie_keep_every_node() {
+        let mut map = filled(1_000);
+        let before = nodes(&map);
+        for i in 0..1_000 {
+            assert_eq!(map.insert(i, i + 1), Some(i));
+        }
+        assert_eq!(nodes(&map), before, "overwrites write in place");
+        map.insert(1_000, 0);
+        let grown: HashSet<_> = nodes(&map).into_iter().collect();
+        assert!(before.iter().all(|n| grown.contains(n)), "an insert keeps every old node");
+        for i in 0..500 {
+            map.remove(&i);
+        }
+        assert!(nodes(&map).iter().all(|n| grown.contains(n)), "removes allocate nothing");
+    }
+
+    #[test]
+    fn overwrite_under_a_snapshot_copies_exactly_the_shared_path() {
+        let mut map = filled(1_000);
+        let snapshot = map.clone();
+        let shared: HashSet<_> = nodes(&snapshot).into_iter().collect();
+        assert_eq!(map.insert(7, 70), Some(7));
+        let copied = nodes(&map).into_iter().filter(|n| !shared.contains(n)).count();
+        assert_eq!(copied, path_len(&map, 7));
+        // The copied path is no longer shared, so writing it again is in place.
+        let after = nodes(&map);
+        assert_eq!(map.insert(7, 71), Some(70));
+        assert_eq!(nodes(&map), after);
+        assert_eq!(snapshot.get(&7), Some(&7));
+        assert_eq!(nodes(&snapshot).into_iter().collect::<HashSet<_>>(), shared);
+    }
+
+    /// A hasher that puts keys in groups of four sharing one full hash, so
+    /// a trie holds branches and collision nodes side by side.
+    #[derive(Clone, Default)]
+    struct Quartets;
+    #[derive(Default)]
+    struct QuartetsHasher(u64);
+    impl std::hash::Hasher for QuartetsHasher {
+        fn finish(&self) -> u64 {
+            (self.0 / 4).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            bytes.iter().for_each(|&b| self.0 = self.0 << 8 | u64::from(b));
+        }
+        fn write_u16(&mut self, n: u16) {
+            self.0 = u64::from(n);
+        }
+    }
+    impl BuildHasher for Quartets {
+        type Hasher = QuartetsHasher;
+        fn build_hasher(&self) -> QuartetsHasher {
+            QuartetsHasher::default()
+        }
+    }
+
+    /// Random inserts and removes while snapshots taken along the way are
+    /// kept and dropped: each must read exactly as the map did when taken.
+    fn held_snapshots_stay_frozen<S: BuildHasher + Clone>(hasher: S) {
+        fn check<S: BuildHasher>(snap: &Hamt<u16, u64, S>, model: &HashMap<u16, u64>) {
+            assert_eq!(snap.len(), model.len());
+            assert_eq!(snap.iter().count(), model.len());
+            for (k, v) in model {
+                assert_eq!(snap.get(k), Some(v));
+            }
+        }
+        let mut seed = 0x9e37_79b9u64;
+        let mut rng = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut map: Hamt<u16, u64, S> = Hamt::with_hasher(hasher);
+        let mut model = HashMap::new();
+        let mut held = Vec::new();
+        for step in 0..3_000 {
+            let key = (rng() % 96) as u16;
+            if rng() % 3 == 0 {
+                assert_eq!(map.remove(&key), model.remove(&key));
+            } else {
+                let value = rng();
+                assert_eq!(map.insert(key, value), model.insert(key, value));
+            }
+            if step % 37 == 0 {
+                held.push((map.clone(), model.clone()));
+            }
+            if held.len() > 6 {
+                let (snap, model) = held.swap_remove(rng() as usize % held.len());
+                check(&snap, &model);
+            }
+        }
+        check(&map, &model);
+        held.iter().for_each(|(snap, model)| check(snap, model));
+    }
+
+    #[test]
+    fn held_snapshots_stay_frozen_under_default_hashing() {
+        held_snapshots_stay_frozen(RandomState::new());
+    }
+
+    #[test]
+    fn held_snapshots_stay_frozen_under_colliding_hashes() {
+        held_snapshots_stay_frozen(Colliding);
+        held_snapshots_stay_frozen(Quartets);
     }
 }

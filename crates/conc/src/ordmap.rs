@@ -4,11 +4,12 @@
 //! a linearizable concurrent map over `u64` keys whose `snapshot`
 //! operation is constant-time and whose `range(lo, hi)` returns the
 //! entries of the half-open interval `[lo, hi)` in key order. Internally
-//! it keeps a persistent [`Treap`] behind a reader/writer lock; mutations
-//! swap in a new structurally-shared root, so a snapshot is two `Arc`
-//! bumps. The treap's priorities are a SplitMix64 hash of the key, making
-//! the shape a deterministic function of the key *set* — balanced with
-//! high probability, and identical across replicas holding the same keys.
+//! it keeps a persistent [`Treap`] behind a reader/writer lock. A snapshot
+//! clones the root `Arc`; an update copies only the nodes on its path that
+//! a snapshot still shares and writes the rest in place. The treap's
+//! priorities are a SplitMix64 hash of the key, making the shape a
+//! deterministic function of the key *set* — balanced with high
+//! probability, and identical across replicas holding the same keys.
 
 use std::fmt;
 use std::sync::Arc;
@@ -18,6 +19,7 @@ use parking_lot::RwLock;
 /// A shared, structurally-persistent subtree.
 type Link<V> = Option<Arc<Node<V>>>;
 
+#[derive(Clone)]
 struct Node<V> {
     key: u64,
     priority: u64,
@@ -41,28 +43,78 @@ fn link_len<V>(link: &Link<V>) -> usize {
     link.as_ref().map_or(0, |n| n.len)
 }
 
-fn make<V>(key: u64, prio: u64, value: V, left: Link<V>, right: Link<V>) -> Link<V> {
-    let len = 1 + link_len(&left) + link_len(&right);
-    Some(Arc::new(Node { key, priority: prio, value, len, left, right }))
+impl<V> Node<V> {
+    fn fix_len(&mut self) {
+        self.len = 1 + link_len(&self.left) + link_len(&self.right);
+    }
 }
 
-/// Three-way split around `key`: `(keys < key, the key's node, keys > key)`.
-/// Path-copying — the input tree is untouched.
-fn split3<V: Clone>(link: &Link<V>, key: u64) -> (Link<V>, Option<Arc<Node<V>>>, Link<V>) {
+/// Insert below `link`. Each node written is made unique with
+/// `Arc::make_mut`: copied if a snapshot still shares it, written in place
+/// otherwise. Priorities are distinct (SplitMix64 is a bijection), so the
+/// key's node, if present, lies on the path of nodes with higher priority.
+fn insert_at<V: Clone>(link: &mut Link<V>, key: u64, prio: u64, value: V) -> Option<V> {
     match link {
-        None => (None, None, None),
-        Some(n) => {
-            if key < n.key {
-                let (lt, eq, gt) = split3(&n.left, key);
-                (lt, eq, make(n.key, n.priority, n.value.clone(), gt, n.right.clone()))
+        Some(n) if n.priority >= prio => {
+            let n = Arc::make_mut(n);
+            let old = if key < n.key {
+                insert_at(&mut n.left, key, prio, value)
             } else if key > n.key {
-                let (lt, eq, gt) = split3(&n.right, key);
-                (make(n.key, n.priority, n.value.clone(), n.left.clone(), lt), eq, gt)
+                insert_at(&mut n.right, key, prio, value)
             } else {
-                (n.left.clone(), Some(Arc::clone(n)), n.right.clone())
+                return Some(std::mem::replace(&mut n.value, value));
+            };
+            if old.is_none() {
+                n.len += 1;
             }
+            old
+        }
+        _ => {
+            // The new node outranks this whole subtree, so the key is
+            // absent from it: split the subtree around the key below it.
+            let (left, right) = split(link.take(), key);
+            let mut node = Node { key, priority: prio, value, len: 0, left, right };
+            node.fix_len();
+            *link = Some(Arc::new(node));
+            None
         }
     }
+}
+
+/// Split a subtree that does not hold `key` into the keys below and the
+/// keys above it.
+fn split<V: Clone>(link: Link<V>, key: u64) -> (Link<V>, Link<V>) {
+    let Some(mut arc) = link else { return (None, None) };
+    let n = Arc::make_mut(&mut arc);
+    if key < n.key {
+        let (lt, gt) = split(n.left.take(), key);
+        n.left = gt;
+        n.fix_len();
+        (lt, Some(arc))
+    } else {
+        let (lt, gt) = split(n.right.take(), key);
+        n.right = lt;
+        n.fix_len();
+        (Some(arc), gt)
+    }
+}
+
+/// Remove `key`, which the caller has checked is present below `link`.
+fn remove_at<V: Clone>(link: &mut Link<V>, key: u64) -> V {
+    let n = link.as_mut().expect("key is present");
+    if n.key == key {
+        let node = link.take().expect("key is present");
+        let (value, left, right) = match Arc::try_unwrap(node) {
+            Ok(n) => (n.value, n.left, n.right),
+            Err(shared) => (shared.value.clone(), shared.left.clone(), shared.right.clone()),
+        };
+        *link = merge(left, right);
+        return value;
+    }
+    let n = Arc::make_mut(n);
+    let old = if key < n.key { remove_at(&mut n.left, key) } else { remove_at(&mut n.right, key) };
+    n.len -= 1;
+    old
 }
 
 /// Merge two treaps where every key of `a` is below every key of `b`.
@@ -70,21 +122,26 @@ fn merge<V: Clone>(a: Link<V>, b: Link<V>) -> Link<V> {
     match (a, b) {
         (None, b) => b,
         (a, None) => a,
-        (Some(x), Some(y)) => {
+        (Some(mut x), Some(mut y)) => {
             if x.priority >= y.priority {
-                let right = merge(x.right.clone(), Some(y));
-                make(x.key, x.priority, x.value.clone(), x.left.clone(), right)
+                let n = Arc::make_mut(&mut x);
+                n.right = merge(n.right.take(), Some(y));
+                n.fix_len();
+                Some(x)
             } else {
-                let left = merge(Some(x), y.left.clone());
-                make(y.key, y.priority, y.value.clone(), left, y.right.clone())
+                let n = Arc::make_mut(&mut y);
+                n.left = merge(Some(x), n.left.take());
+                n.fix_len();
+                Some(y)
             }
         }
     }
 }
 
-/// A persistent (immutable, structurally-shared) ordered map over `u64`
-/// keys: the snapshot type of [`OrdMap`], playing the role [`Hamt`]
-/// plays for [`SnapMap`] — but with in-order range traversal.
+/// A persistent (structurally-shared) ordered map over `u64` keys: the
+/// snapshot type of [`OrdMap`], playing the role [`Hamt`] plays for
+/// [`SnapMap`] — but with in-order range traversal. A clone is O(1) and is
+/// unaffected by later updates, which copy only the nodes it shares.
 ///
 /// [`Hamt`]: crate::Hamt
 /// [`SnapMap`]: crate::SnapMap
@@ -150,20 +207,14 @@ impl<V> Treap<V> {
 impl<V: Clone> Treap<V> {
     /// Insert a key/value pair, returning the previous value.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        let (lt, eq, gt) = split3(&self.root, key);
-        let fresh = make(key, priority(key), value, None, None);
-        self.root = merge(merge(lt, fresh), gt);
-        eq.map(|n| n.value.clone())
+        insert_at(&mut self.root, key, priority(key), value)
     }
 
     /// Remove a key, returning its value if present.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let (lt, eq, gt) = split3(&self.root, key);
-        // Keep the original root when the key is absent: no path was
-        // disturbed, so no copies need to replace it.
-        let hit = eq?;
-        self.root = merge(lt, gt);
-        Some(hit.value.clone())
+        // Look before writing: a miss copies nothing, even when shared.
+        self.get(key)?;
+        Some(remove_at(&mut self.root, key))
     }
 
     /// Visit every entry of the half-open range `[lo, hi)` in ascending
@@ -373,6 +424,163 @@ mod tests {
             backward.insert(127 - i, 127 - i);
         }
         assert_eq!(forward.range(0, 200), backward.range(0, 200));
+    }
+
+    /// The address of every node of `treap`, in key order.
+    fn nodes<V>(treap: &Treap<V>) -> Vec<*const Node<V>> {
+        fn walk<V>(link: &Link<V>, out: &mut Vec<*const Node<V>>) {
+            if let Some(n) = link {
+                walk(&n.left, out);
+                out.push(Arc::as_ptr(n));
+                walk(&n.right, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(&treap.root, &mut out);
+        out
+    }
+
+    /// How many nodes lie on the path from the root to `key`'s node.
+    fn path_len<V>(treap: &Treap<V>, key: u64) -> usize {
+        let (mut cursor, mut len) = (&treap.root, 0);
+        while let Some(n) = cursor {
+            len += 1;
+            cursor = match key.cmp(&n.key) {
+                std::cmp::Ordering::Less => &n.left,
+                std::cmp::Ordering::Greater => &n.right,
+                std::cmp::Ordering::Equal => return len,
+            };
+        }
+        panic!("key {key} is absent")
+    }
+
+    fn filled(n: u64) -> Treap<u64> {
+        let mut treap = Treap::new();
+        (0..n).for_each(|k| {
+            treap.insert(k, k);
+        });
+        treap
+    }
+
+    #[test]
+    fn miss_on_a_shared_treap_copies_nothing() {
+        let mut treap = filled(1_000);
+        let snapshot = treap.clone();
+        let before = nodes(&treap);
+        assert_eq!(treap.remove(5_000), None);
+        assert_eq!(nodes(&treap), before);
+        assert_eq!(nodes(&snapshot), before);
+    }
+
+    #[test]
+    fn updates_on_an_unshared_treap_keep_every_node() {
+        let mut treap = filled(1_000);
+        let before = nodes(&treap);
+        for k in 0..1_000 {
+            assert_eq!(treap.insert(k, k + 1), Some(k));
+        }
+        assert_eq!(nodes(&treap), before, "overwrites write in place");
+        treap.insert(5_000, 0);
+        treap.insert(500, 0);
+        let grown: std::collections::HashSet<_> = nodes(&treap).into_iter().collect();
+        assert!(before.iter().all(|n| grown.contains(n)), "an insert keeps every old node");
+        assert_eq!(grown.len(), 1_001);
+        for k in (0..1_000).step_by(3) {
+            treap.remove(k);
+        }
+        assert!(nodes(&treap).iter().all(|n| grown.contains(n)), "removes allocate nothing");
+    }
+
+    #[test]
+    fn overwrite_under_a_snapshot_copies_exactly_the_shared_path() {
+        let mut treap = filled(1_000);
+        let snapshot = treap.clone();
+        let shared: std::collections::HashSet<_> = nodes(&snapshot).into_iter().collect();
+        assert_eq!(treap.insert(700, 0), Some(700));
+        let copied = nodes(&treap).into_iter().filter(|n| !shared.contains(n)).count();
+        assert_eq!(copied, path_len(&treap, 700));
+        let after = nodes(&treap);
+        assert_eq!(treap.insert(700, 1), Some(0));
+        assert_eq!(nodes(&treap), after, "the copied path is unshared now");
+        assert_eq!(snapshot.get(700), Some(&700));
+    }
+
+    #[test]
+    fn held_snapshots_stay_frozen() {
+        // Random inserts and removes while snapshots taken along the way
+        // are kept and dropped: each must read exactly as when taken.
+        let check = |snap: &Treap<u64>, model: &std::collections::BTreeMap<u64, u64>| {
+            let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(snap.range(0, u64::MAX), want);
+            assert_eq!(snap.len(), model.len());
+        };
+        let mut treap = Treap::new();
+        let mut model = std::collections::BTreeMap::new();
+        let mut held = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for step in 0..3_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let key = (state >> 33) % 96;
+            if state % 3 == 1 {
+                assert_eq!(treap.remove(key), model.remove(&key));
+            } else {
+                assert_eq!(treap.insert(key, state), model.insert(key, state));
+            }
+            if step % 37 == 0 {
+                held.push((treap.clone(), model.clone()));
+            }
+            if held.len() > 6 {
+                let (snap, model) = held.swap_remove((state >> 40) as usize % held.len());
+                check(&snap, &model);
+            }
+        }
+        check(&treap, &model);
+        held.iter().for_each(|(snap, model)| check(snap, model));
+    }
+
+    #[test]
+    fn snapshots_kept_and_dropped_across_threads_stay_frozen() {
+        // Each update_root round gives every key the round's value, and
+        // removes and re-inserts one key; a snapshot must read one round
+        // throughout, however long it is kept and wherever it is dropped.
+        const KEYS: u64 = 128;
+        let map = StdArc::new(OrdMap::new());
+        map.update_root(|m| {
+            for k in 0..KEYS {
+                m.insert(k, 0u64);
+            }
+        });
+        let check = |snap: Treap<u64>| {
+            let entries = snap.range(0, KEYS);
+            assert_eq!(entries.len() as u64, KEYS);
+            assert!(entries.iter().all(|&(_, v)| v == entries[0].1));
+        };
+        std::thread::scope(|s| {
+            let writer = StdArc::clone(&map);
+            s.spawn(move || {
+                for round in 1..=200u64 {
+                    writer.update_root(|m| {
+                        m.remove(round % KEYS);
+                        for k in 0..KEYS {
+                            m.insert(k, round);
+                        }
+                    });
+                }
+            });
+            for kept in [1, 5] {
+                let map = StdArc::clone(&map);
+                s.spawn(move || {
+                    let mut held = std::collections::VecDeque::new();
+                    for _ in 0..200 {
+                        held.push_back(map.snapshot());
+                        if held.len() > kept {
+                            check(held.pop_front().expect("non-empty"));
+                        }
+                    }
+                    held.into_iter().for_each(check);
+                });
+            }
+        });
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! [`SnapMap`] plays the role of Scala's `concurrent.TrieMap` in the
 //! paper: a linearizable concurrent map whose `snapshot` operation is
 //! constant-time. Internally it keeps a persistent [`Hamt`](crate::Hamt)
-//! behind a reader/writer lock; mutations swap in a new structurally-shared
-//! root, so a snapshot is just a clone of the current root (two `Arc`
-//! bumps). See DESIGN.md for why this substitution preserves the behaviour
-//! the Proust wrappers rely on.
+//! behind a reader/writer lock. A snapshot is a clone of the current root
+//! (one `Arc` bump); a write copies only the trie nodes on its path that a
+//! live snapshot still shares and updates the rest in place, so with no
+//! snapshot alive a write copies nothing. See
+//! DESIGN.md for why this substitution preserves the behaviour the Proust
+//! wrappers rely on.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -159,6 +161,51 @@ mod tests {
             }
         });
         assert_eq!(map.len(), 8 * 500);
+    }
+
+    #[test]
+    fn snapshots_kept_and_dropped_across_threads_stay_frozen() {
+        // Each update_root round gives every key the round's value, and
+        // removes and re-inserts one key; a snapshot must read one round
+        // throughout, however long it is kept and wherever it is dropped.
+        const KEYS: u32 = 256;
+        let map = Arc::new(SnapMap::new());
+        map.update_root(|m| {
+            for k in 0..KEYS {
+                m.insert(k, 0u64);
+            }
+        });
+        let check = |snap: Hamt<u32, u64>| {
+            assert_eq!(snap.len() as u32, KEYS);
+            let first = *snap.get(&0).expect("every key is present");
+            assert!((0..KEYS).all(|k| snap.get(&k) == Some(&first)));
+        };
+        std::thread::scope(|s| {
+            let writer = Arc::clone(&map);
+            s.spawn(move || {
+                for round in 1..=300u64 {
+                    writer.update_root(|m| {
+                        m.remove(&(round as u32 % KEYS));
+                        for k in 0..KEYS {
+                            m.insert(k, round);
+                        }
+                    });
+                }
+            });
+            for kept in [1, 5] {
+                let map = Arc::clone(&map);
+                s.spawn(move || {
+                    let mut held = std::collections::VecDeque::new();
+                    for _ in 0..300 {
+                        held.push_back(map.snapshot());
+                        if held.len() > kept {
+                            check(held.pop_front().expect("non-empty"));
+                        }
+                    }
+                    held.into_iter().for_each(check);
+                });
+            }
+        });
     }
 
     #[test]

@@ -198,7 +198,11 @@ impl<S: SnapshotSource + 'static> SnapshotReplay<S> {
             let log = cell.clone();
             let source = Arc::clone(&self.source);
             tx.on_commit_locked(move || {
-                let state = log.borrow();
+                let mut state = log.borrow_mut();
+                // Drop the shadow first: nodes only it shared with the live
+                // structure become unique again, so replay writes them in
+                // place instead of copying them.
+                state.shadow = None;
                 source.apply_batch(&mut |shared| {
                     for op in &state.ops {
                         op(shared);
