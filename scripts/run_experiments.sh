@@ -64,24 +64,4 @@ SMOKE_SECS="${SERVER_SWEEP_SECS:-2}" scripts/server_smoke.sh "$RESULTS_DIR/serve
 SMOKE_SECS="${SERVER_SWEEP_SECS:-2}" scripts/server_smoke.sh "$RESULTS_DIR/server_pessimistic_eager.json" -- \
     --lap pessimistic --update eager | tee -a "$RESULTS_DIR/server.txt"
 
-echo "== bench regression suite + contention profile =="
-# The pinned regression suite doubles as the contention observatory's
-# data source: --contention-out dumps per-cell lock-wait totals and the
-# time-weighted (aborter, victim) conflict matrices ranked by ns lost.
-# Appends a new BENCH_<n>.json envelope to results/bench_history/ and
-# compares against the lowest-numbered baseline (exit non-zero on
-# regression).
-cargo run --release -q -p xtask -- bench --quick \
-    --history-dir "$RESULTS_DIR/bench_history" \
-    --contention-out "$RESULTS_DIR/contention.json" \
-    | tee "$RESULTS_DIR/bench.txt"
-
-echo "== telemetry overhead (flight recorder off vs 1-in-64) =="
-# The observability budget: always-on 1-in-64 span sampling must stay
-# under a 3% throughput delta on tiny uncontended transactions (the
-# worst case for a fixed per-transaction cost).
-cargo run --release -q -p xtask -- overhead \
-    --out "$RESULTS_DIR/telemetry_overhead.json" \
-    | tee "$RESULTS_DIR/telemetry_overhead.txt"
-
 echo "All results (tables, CSV, and JSON reports) in $RESULTS_DIR/"

@@ -9,10 +9,11 @@
 //!    extracts concrete witness keys on refutation. Each verdict records
 //!    per-pass wall time and which pass decided it.
 //! 2. **Source lints** — the Proustian conventions in [`crate::lint`].
-//! 3. **Concurrency wiring** — the loom permutation tests and the
-//!    Miri/TSan CI jobs must stay wired: this pass verifies the test
-//!    files, shim, and workflow entries exist (the jobs themselves run in
-//!    CI; see `cargo xtask loom|miri|tsan`).
+//! 3. **CI wiring** — the loom permutation tests, the Miri/TSan CI jobs
+//!    and the benchmark job (`benchmark/run.sh --aa` plus its
+//!    `--inject-fault` self-test) must stay wired: this pass verifies the
+//!    test files, shim, and workflow entries exist (the jobs themselves
+//!    run in CI; see `cargo xtask loom|miri|tsan`).
 //!
 //! The report is machine-readable JSON (the `proust-obs` dialect, schema
 //! `proust-analysis-v1`), with per-structure verdicts, concrete
@@ -51,13 +52,15 @@ impl Analysis {
 
 /// Files and workflow fragments pass 3 requires. Kept as data so the
 /// report names exactly what went missing.
-const WIRING: [(&str, WiringProbe); 6] = [
+const WIRING: [(&str, WiringProbe); 8] = [
     ("loom shim vendored", WiringProbe::Exists("shims/loom/src/lib.rs")),
     ("STM loom permutation tests", WiringProbe::Exists("crates/stm/tests/loom_stm.rs")),
     ("abstract-lock loom permutation tests", WiringProbe::Exists("crates/core/tests/loom_lock.rs")),
     ("CI runs the loom job", WiringProbe::WorkflowMentions("--cfg loom")),
     ("CI runs the Miri job", WiringProbe::WorkflowMentions("miri")),
     ("CI runs the TSan job", WiringProbe::WorkflowMentions("thread")),
+    ("CI runs the frozen benchmark", WiringProbe::WorkflowMentions("benchmark/run.sh --aa")),
+    ("CI proves the benchmark's gate trips", WiringProbe::WorkflowMentions("--inject-fault")),
 ];
 
 #[derive(Debug, Clone, Copy)]
@@ -244,7 +247,7 @@ pub fn print_summary(analysis: &Analysis) {
             println!("  FAIL {}:{} [{}] {}", f.file, f.line, f.lint, f.message);
         }
     }
-    println!("pass 3: concurrency-analysis wiring");
+    println!("pass 3: CI wiring");
     for (what, ok) in &analysis.wiring {
         println!("  {} {}", if *ok { "PASS" } else { "FAIL" }, what);
     }

@@ -18,20 +18,11 @@
 //!   the toolchain supports them; `--allow-missing` turns an absent tool
 //!   into a skip (the containers this repo builds in have no crates.io
 //!   mirror or rustup components; CI installs the real tools).
-//! * `overhead` — the telemetry overhead guard: runs the same in-process
-//!   STM counter workload with the flight recorder off and again sampling
-//!   1-in-64, repeats the comparison end-to-end over the binary server
-//!   wire, and writes both throughput deltas to
-//!   `results/telemetry_overhead.json`. The budget is <3% per arm;
-//!   `--enforce` turns a blown budget into a non-zero exit.
-//! * `bench` — the benchmark-regression pipeline: runs the pinned suite
-//!   (Figure 4 map cells + a loadgen server run), writes a versioned
-//!   envelope to `results/bench_history/BENCH_<n>.json`, and exits
-//!   non-zero when a cell regresses past a noise-aware threshold against
-//!   the lowest-numbered (baseline) envelope. See `bench.rs`.
+//!
+//! Nothing here measures speed: the one timing instrument is
+//! `benchmark/` (`bash benchmark/run.sh`).
 
 mod analyze;
-mod bench;
 mod lint;
 
 use std::env;
@@ -49,12 +40,15 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// Every subcommand, in the order usage and error messages list them.
+const COMMANDS: [&str; 5] = ["analyze", "loom", "chaos", "miri", "tsan"];
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let (command, rest) = match args.split_first() {
         Some((command, rest)) => (command.as_str(), rest),
         None => {
-            eprintln!("usage: cargo xtask <analyze|loom|chaos|miri|tsan|overhead|bench> [options]");
+            eprintln!("usage: cargo xtask <{}> [options]", COMMANDS.join("|"));
             return ExitCode::FAILURE;
         }
     };
@@ -64,13 +58,8 @@ fn main() -> ExitCode {
         "chaos" => run_chaos(rest),
         "miri" => run_miri(rest),
         "tsan" => run_tsan(rest),
-        "overhead" => run_overhead(rest),
-        "bench" => bench::run(rest),
         other => {
-            eprintln!(
-                "unknown command {other:?}; expected analyze, loom, chaos, miri, tsan, \
-                 overhead, or bench"
-            );
+            eprintln!("unknown command {other:?}; expected one of {}", COMMANDS.join(", "));
             ExitCode::FAILURE
         }
     }
@@ -409,278 +398,6 @@ fn run_tsan(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// One timed pass of the overhead workload: `threads` workers spend
-/// `secs` incrementing their own striped `TVar` counters through full
-/// `atomically` calls, with every 16th transaction also bumping one
-/// *shared* counter. The stripes keep the bulk of the measurement
-/// conflict-free, while the shared-counter minority makes transactions
-/// contend for ownership — so the off-vs-sampled delta covers the
-/// contention-observatory hooks (lock-wait timing, time-weighted
-/// conflict attribution), not just the flight recorder. Returns
-/// committed ops per second.
-fn overhead_pass(threads: usize, secs: f64) -> f64 {
-    use proust_stm::{Stm, StmConfig, TVar};
-
-    let stm = Stm::new(StmConfig::default());
-    let counters: Vec<TVar<u64>> = (0..threads).map(|_| TVar::new(0u64)).collect();
-    let shared = TVar::new(0u64);
-    let deadline = std::time::Duration::from_secs_f64(secs);
-    let start = std::time::Instant::now();
-    let total: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = counters
-            .iter()
-            .map(|counter| {
-                let stm = stm.clone();
-                let shared = &shared;
-                scope.spawn(move || {
-                    let mut ops = 0u64;
-                    while start.elapsed() < deadline {
-                        // Batch the deadline check: Instant::now is not
-                        // free and would otherwise dominate short txns.
-                        for _ in 0..256 {
-                            let hot = ops.is_multiple_of(16);
-                            stm.atomically(|tx| {
-                                let v = counter.read(tx)?;
-                                counter.write(tx, v + 1)?;
-                                if hot {
-                                    let s = shared.read(tx)?;
-                                    shared.write(tx, s + 1)?;
-                                }
-                                Ok(())
-                            })
-                            .expect("overhead increment commits");
-                            ops += 1;
-                        }
-                    }
-                    ops
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panics")).sum()
-    });
-    total as f64 / start.elapsed().as_secs_f64()
-}
-
-/// One timed pass of the end-to-end overhead workload: an in-process
-/// `proust-server` driven closed-loop over the binary wire. Returns
-/// committed ops per second. A fresh server per pass keeps the INC
-/// expected-value check valid (counters start at zero each time).
-fn overhead_server_pass(threads: usize, secs: f64, waterfall_sample: usize) -> Result<f64, String> {
-    use proust_loadgen::LoadConfig;
-    use proust_server::{Server, ServerConfig};
-
-    let handle = Server::start(ServerConfig::default()).map_err(|err| err.to_string())?;
-    let config = LoadConfig {
-        addr: handle.addr().to_string(),
-        threads,
-        duration: std::time::Duration::from_secs_f64(secs),
-        binary: true,
-        quiet: true,
-        waterfall_sample,
-        ..LoadConfig::default()
-    };
-    let report = proust_loadgen::run(&config)?;
-    handle.shutdown();
-    if report.protocol_errors > 0 || report.lost_updates > 0 {
-        return Err(format!(
-            "overhead server pass is not a valid measurement: {} protocol errors, {} lost updates",
-            report.protocol_errors, report.lost_updates
-        ));
-    }
-    Ok(report.throughput_rps)
-}
-
-/// The telemetry overhead guard. Budget: sampling 1-in-64 must cost <3%
-/// throughput on the hottest path we have (tiny uncontended txns — the
-/// worst case for fixed per-txn overhead, since there is no real work to
-/// amortise it against). A second arm repeats the comparison end-to-end
-/// over the binary server wire, so the budget also covers the reactor's
-/// per-request accounting (wakeup counters, ready-batch histogram,
-/// connection gauges) rather than only the STM-internal hooks.
-fn run_overhead(args: &[String]) -> ExitCode {
-    const TARGET_FRAC: f64 = 0.03;
-
-    let mut sample_every = 64u64;
-    let mut out = workspace_root().join("results/telemetry_overhead.json");
-    let mut secs = 2.0f64;
-    let mut threads = 4usize;
-    let mut enforce = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--sample-every" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(value) => sample_every = value,
-                None => {
-                    eprintln!("--sample-every needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match iter.next() {
-                Some(path) => out = PathBuf::from(path),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--secs" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(value) => secs = value,
-                None => {
-                    eprintln!("--secs needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(value) => threads = value,
-                None => {
-                    eprintln!("--threads needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--enforce" => enforce = true,
-            other => {
-                eprintln!("unknown overhead option {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let tracer = proust_obs::Tracer::global();
-
-    // Warm up allocators, the version clock, and the thread pool once so
-    // neither timed pass pays first-run costs.
-    overhead_pass(threads, (secs / 4.0).min(0.5));
-
-    // Scheduler noise between runs is on the order of the signal, so
-    // interleave the two modes and compare best-of: the peak each mode
-    // reaches is the right estimator for a small fixed per-txn cost.
-    const ROUNDS: usize = 5;
-    let mut baseline = 0.0f64;
-    let mut sampled = 0.0f64;
-    for _ in 0..ROUNDS {
-        tracer.disable();
-        tracer.clear();
-        baseline = baseline.max(overhead_pass(threads, secs));
-        tracer.set_sample_every(sample_every);
-        tracer.enable();
-        sampled = sampled.max(overhead_pass(threads, secs));
-    }
-    tracer.disable();
-    tracer.clear();
-
-    let delta_frac = (baseline - sampled) / baseline;
-    let within = delta_frac < TARGET_FRAC;
-    println!(
-        "overhead: baseline {baseline:.0} ops/s, sampled(1/{sample_every}) {sampled:.0} ops/s, \
-         delta {:.2}% (budget {:.0}%)",
-        delta_frac * 100.0,
-        TARGET_FRAC * 100.0
-    );
-
-    // Binary-wire arm: same off-vs-sampled comparison, but through a full
-    // in-process server (reactor, codec, commit batching). Fewer rounds
-    // than the STM arm — each pass spins up a server — but still enough
-    // best-of interleaving to shed scheduler noise on small runners.
-    const SERVER_ROUNDS: usize = 4;
-    let server_threads = 4usize;
-    if let Err(err) = overhead_server_pass(server_threads, (secs / 4.0).min(0.5), 0) {
-        eprintln!("overhead: binary-wire warmup failed: {err}");
-        return ExitCode::FAILURE;
-    }
-    let mut wire_baseline = 0.0f64;
-    let mut wire_sampled = 0.0f64;
-    let mut wire_waterfall = 0.0f64;
-    for _ in 0..SERVER_ROUNDS {
-        tracer.disable();
-        tracer.clear();
-        match overhead_server_pass(server_threads, secs, 0) {
-            Ok(rps) => wire_baseline = wire_baseline.max(rps),
-            Err(err) => {
-                eprintln!("overhead: binary-wire baseline pass failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-        tracer.set_sample_every(sample_every);
-        tracer.enable();
-        match overhead_server_pass(server_threads, secs, 0) {
-            Ok(rps) => wire_sampled = wire_sampled.max(rps),
-            Err(err) => {
-                eprintln!("overhead: binary-wire sampled pass failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // Waterfall arm: flight recorder still sampling 1/N, plus every
-        // Nth request carries the TRACE flag — the request's waterfall is
-        // rendered to JSON and echoed as an extra INFO frame. This is the
-        // full request-anatomy telemetry path switched on at once.
-        match overhead_server_pass(server_threads, secs, sample_every as usize) {
-            Ok(rps) => wire_waterfall = wire_waterfall.max(rps),
-            Err(err) => {
-                eprintln!("overhead: binary-wire waterfall pass failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    tracer.disable();
-    tracer.clear();
-
-    let wire_delta_frac = (wire_baseline - wire_sampled) / wire_baseline;
-    let wire_within = wire_delta_frac < TARGET_FRAC;
-    println!(
-        "overhead: binary wire baseline {wire_baseline:.0} ops/s, sampled(1/{sample_every}) \
-         {wire_sampled:.0} ops/s, delta {:.2}% (budget {:.0}%)",
-        wire_delta_frac * 100.0,
-        TARGET_FRAC * 100.0
-    );
-    let waterfall_delta_frac = (wire_baseline - wire_waterfall) / wire_baseline;
-    let waterfall_within = waterfall_delta_frac < TARGET_FRAC;
-    println!(
-        "overhead: binary wire waterfall-on(1/{sample_every}) {wire_waterfall:.0} ops/s, \
-         delta {:.2}% (budget {:.0}%)",
-        waterfall_delta_frac * 100.0,
-        TARGET_FRAC * 100.0
-    );
-
-    let report = proust_obs::JsonValue::obj([
-        ("baseline_ops_per_s", proust_obs::JsonValue::num(baseline)),
-        ("sampled_ops_per_s", proust_obs::JsonValue::num(sampled)),
-        ("delta_frac", proust_obs::JsonValue::num(delta_frac)),
-        ("binary_wire_baseline_ops_per_s", proust_obs::JsonValue::num(wire_baseline)),
-        ("binary_wire_sampled_ops_per_s", proust_obs::JsonValue::num(wire_sampled)),
-        ("binary_wire_delta_frac", proust_obs::JsonValue::num(wire_delta_frac)),
-        ("binary_wire_within_target", proust_obs::JsonValue::Bool(wire_within)),
-        ("waterfall_ops_per_s", proust_obs::JsonValue::num(wire_waterfall)),
-        ("waterfall_delta_frac", proust_obs::JsonValue::num(waterfall_delta_frac)),
-        ("waterfall_within_target", proust_obs::JsonValue::Bool(waterfall_within)),
-        ("sample_every", proust_obs::JsonValue::u64(sample_every)),
-        ("threads", proust_obs::JsonValue::u64(threads as u64)),
-        ("secs", proust_obs::JsonValue::num(secs)),
-        ("target_frac", proust_obs::JsonValue::num(TARGET_FRAC)),
-        ("within_target", proust_obs::JsonValue::Bool(within)),
-    ]);
-    if let Some(parent) = out.parent() {
-        let _ = fs::create_dir_all(parent);
-    }
-    if let Err(error) = fs::write(&out, report.to_json_pretty() + "\n") {
-        eprintln!("failed to write {}: {error}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("report: {}", out.display());
-
-    if !(within && wire_within && waterfall_within) && enforce {
-        eprintln!(
-            "overhead: FAILED — sampling costs {:.2}% (stm) / {:.2}% (binary wire) / \
-             {:.2}% (waterfall-on), budget is {:.0}%",
-            delta_frac * 100.0,
-            wire_delta_frac * 100.0,
-            waterfall_delta_frac * 100.0,
-            TARGET_FRAC * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("overhead: OK");
-    ExitCode::SUCCESS
 }
 
 fn host_triple() -> &'static str {
