@@ -29,6 +29,17 @@
 //! far, and absorbs concurrent callers (a sync that arrives after another
 //! thread's fsync already covered its records is a no-op).
 //!
+//! The live segment is a fixed-size file: it is preallocated to the
+//! rotation threshold when it opens, and records are written at its
+//! *logical end* (the end of the last valid record), not at EOF. An
+//! append then changes no inode size, so a group fsync flushes the data
+//! block alone. On rotation the closed segment is trimmed to its logical
+//! length, so closed segments hold records and nothing else. Recovery
+//! finds the live tail's logical end by parsing: an all-zero remainder
+//! is untouched padding, any nonzero byte past it is a torn tail, which
+//! is cut off (`set_len`) and preallocated again as zeros so that no
+//! stale frame beyond the tear can line up with a later append.
+//!
 //! A checkpoint ([`Wal::checkpoint`]) atomically replaces `checkpoint`
 //! (write tmp, fsync, rename, fsync dir) with a state dump tagged with
 //! the last applied LSN, then garbage-collects every segment whose
@@ -36,7 +47,8 @@
 //! (if its CRC validates) and replays only the log suffix after it.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -129,9 +141,12 @@ pub struct Recovery {
     pub checkpoint: Option<Record>,
     /// Committed records after the checkpoint, in LSN order.
     pub records: Vec<Record>,
-    /// Bytes of torn/corrupt tail truncated from the last segment.
+    /// Bytes of torn/corrupt tail truncated from the last segment: from
+    /// its logical end through its last nonzero byte. Preallocated zero
+    /// padding is not counted.
     pub truncated_bytes: u64,
-    /// Whether a torn tail was detected (and truncated).
+    /// Whether a torn tail (a nonzero byte past the logical end) was
+    /// detected (and truncated).
     pub torn_tail: bool,
     /// Records skipped because the checkpoint already covers them.
     pub skipped_records: u64,
@@ -165,6 +180,8 @@ struct WalInner {
     dir: PathBuf,
     segment_bytes: u64,
     file: File,
+    /// Logical end of the live segment, where the next record is written;
+    /// the file itself is preallocated past it to `segment_bytes`.
     segment_len: u64,
     /// All live segments in start-LSN order; the last one is being
     /// appended to.
@@ -202,9 +219,106 @@ fn segment_path(dir: &Path, start_lsn: u64) -> PathBuf {
     dir.join(format!("wal-{start_lsn:016x}.seg"))
 }
 
-fn write_segment_header(file: &mut File, start_lsn: u64) -> io::Result<()> {
+/// Create (or truncate) a segment: the 16-byte header first, then the
+/// file preallocated to `segment_bytes`. Not fsynced.
+fn create_segment(path: &Path, start_lsn: u64, segment_bytes: u64) -> io::Result<File> {
+    let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(path)?;
     file.write_all(SEGMENT_MAGIC)?;
-    file.write_all(&start_lsn.to_le_bytes())
+    file.write_all(&start_lsn.to_le_bytes())?;
+    preallocate(&file, segment_bytes)?;
+    Ok(file)
+}
+
+/// Reserve blocks up to `len` bytes and grow the file's size to it (never
+/// shrinking it), so a write inside that range leaves the inode's size
+/// alone and its fsync has no size change to journal.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn preallocate(file: &File, len: u64) -> io::Result<()> {
+    use std::os::fd::AsRawFd as _;
+    extern "C" {
+        fn posix_fallocate(fd: i32, offset: i64, len: i64) -> i32;
+    }
+    let len = i64::try_from(len).unwrap_or(i64::MAX);
+    // SAFETY: posix_fallocate takes no pointers; the fd is open for writing.
+    match unsafe { posix_fallocate(file.as_raw_fd(), 0, len) } {
+        // It returns the error number instead of setting errno.
+        0 => Ok(()),
+        errno => Err(io::Error::from_raw_os_error(errno)),
+    }
+}
+
+/// Without a `posix_fallocate` binding, a sparse extension still fixes
+/// the size.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn preallocate(file: &File, len: u64) -> io::Result<()> {
+    if file.metadata()?.len() < len {
+        file.set_len(len)?;
+    }
+    Ok(())
+}
+
+/// A segment's bytes, and how many of them the file holds as data. Past
+/// that point the file is holes or preallocated blocks never written,
+/// which read as zeros: the buffer is zero-initialized and only the data
+/// prefix is read into it, so a live segment's untouched padding is
+/// neither copied nor scanned.
+fn read_segment(path: &Path) -> io::Result<(Vec<u8>, usize)> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    let data_len = data_len(&file, len);
+    let mut bytes = vec![0u8; len];
+    file.read_exact_at(&mut bytes[..data_len], 0)?;
+    Ok((bytes, data_len))
+}
+
+/// End of the last data region of `file` (`len` bytes long), found with
+/// `SEEK_DATA`/`SEEK_HOLE`. Conservative: a filesystem that cannot tell
+/// reports everything as data, and so does any error here.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn data_len(file: &File, len: usize) -> usize {
+    use std::os::fd::AsRawFd as _;
+    extern "C" {
+        fn lseek(fd: i32, offset: i64, whence: i32) -> i64;
+    }
+    const SEEK_DATA: i32 = 3;
+    const SEEK_HOLE: i32 = 4;
+    const ENXIO: i32 = 6;
+    let mut end = 0i64;
+    while (end as usize) < len {
+        // SAFETY: lseek takes no pointers; the fd is open.
+        let data = unsafe { lseek(file.as_raw_fd(), end, SEEK_DATA) };
+        if data < 0 {
+            // ENXIO: no data at or past `end`.
+            let no_more = io::Error::last_os_error().raw_os_error() == Some(ENXIO);
+            return if no_more { end as usize } else { len };
+        }
+        // SAFETY: as above.
+        end = unsafe { lseek(file.as_raw_fd(), data, SEEK_HOLE) };
+        if end < 0 {
+            return len;
+        }
+    }
+    len
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn data_len(_file: &File, len: usize) -> usize {
+    len
+}
+
+/// Length of `bytes` up to and including its last nonzero byte: 0 when
+/// it is all zero, i.e. preallocated padding nothing was written into.
+fn written_len(bytes: &[u8]) -> usize {
+    // OR-folding whole chunks vectorizes; only the last nonzero chunk is
+    // searched byte by byte.
+    const CHUNK: usize = 4096;
+    let Some(index) =
+        bytes.chunks(CHUNK).rposition(|chunk| chunk.iter().fold(0, |a, b| a | b) != 0)
+    else {
+        return 0;
+    };
+    let chunk = &bytes[index * CHUNK..bytes.len().min((index + 1) * CHUNK)];
+    index * CHUNK + chunk.iter().rposition(|&byte| byte != 0).map_or(0, |at| at + 1)
 }
 
 /// fsync the directory itself so segment creation/rename/unlink are
@@ -217,14 +331,14 @@ fn sync_dir(dir: &Path) {
 
 fn frame_record(lsn: u64, commit_ts: u64, payload: &[u8]) -> Vec<u8> {
     let len = 16 + payload.len() as u32;
-    let mut body = Vec::with_capacity(16 + payload.len());
-    body.extend_from_slice(&lsn.to_le_bytes());
-    body.extend_from_slice(&commit_ts.to_le_bytes());
-    body.extend_from_slice(payload);
-    let mut frame = Vec::with_capacity(8 + body.len());
+    let mut frame = Vec::with_capacity(8 + len as usize);
     frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&crc32(&body).to_le_bytes());
-    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&[0; 4]); // crc, patched once the body is in
+    frame.extend_from_slice(&lsn.to_le_bytes());
+    frame.extend_from_slice(&commit_ts.to_le_bytes());
+    frame.extend_from_slice(payload);
+    let crc = crc32(&frame[8..]);
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 
@@ -320,19 +434,28 @@ impl Wal {
             }
             _ => 1,
         };
-        let mut last_segment_len = 0u64;
+        let segment_bytes = segment_bytes.max(FRAME_BYTES + 16);
+        // Logical end of the last segment, and whether bytes past it
+        // must be cut off before appends resume.
+        let mut live_len = 16u64;
+        let mut live_torn = false;
+        let mut headerless_tail = false;
         for (index, segment) in segments.iter().enumerate() {
             let is_last = index == segments.len() - 1;
-            let bytes = fs::read(&segment.path)?;
+            let (bytes, data_len) = read_segment(&segment.path)?;
             let header_ok = bytes.len() >= 16
                 && &bytes[0..8] == SEGMENT_MAGIC
                 && u64::from_le_bytes(bytes[8..16].try_into().unwrap()) == segment.start_lsn;
             if !header_ok {
                 if is_last && segment.start_lsn == next_lsn {
                     // The crash landed inside the header write of a fresh
-                    // segment: nothing in it was ever acknowledged.
-                    recovery.torn_tail = true;
-                    recovery.truncated_bytes += bytes.len() as u64;
+                    // segment: nothing in it was ever acknowledged. Drop
+                    // it; the previous segment (or a new one) goes live.
+                    let torn = written_len(&bytes[..data_len]) as u64;
+                    recovery.torn_tail |= torn > 0;
+                    recovery.truncated_bytes += torn;
+                    fs::remove_file(&segment.path)?;
+                    headerless_tail = true;
                     continue;
                 }
                 return Err(io::Error::new(
@@ -373,36 +496,44 @@ impl Wal {
                                 ),
                             ));
                         }
-                        // Torn tail: truncate the file at the last valid
-                        // record so the next append continues cleanly.
-                        recovery.torn_tail = true;
-                        recovery.truncated_bytes += (bytes.len() - offset) as u64;
-                        let file = OpenOptions::new().write(true).open(&segment.path)?;
-                        file.set_len(offset as u64)?;
-                        file.sync_all()?;
+                        // The live tail's logical end. All-zero bytes past
+                        // it are preallocated padding; any nonzero byte is
+                        // a torn tail, truncated below.
+                        let torn = written_len(&bytes[offset..data_len.max(offset)]) as u64;
+                        live_torn = torn > 0;
+                        recovery.torn_tail |= live_torn;
+                        recovery.truncated_bytes += torn;
                         break;
                     }
                 }
             }
-            last_segment_len = offset.min(bytes.len()) as u64;
+            live_len = offset as u64;
         }
-        // Drop a header-torn trailing segment from the live list.
-        if recovery.torn_tail {
-            segments.retain(|segment| segment.start_lsn < next_lsn);
+        if headerless_tail {
+            // Make the unlink durable before appends resume in the
+            // previous segment: a resurrected headerless file behind them
+            // would no longer start at the log's next LSN.
+            sync_dir(&dir);
+            segments.pop();
         }
 
-        // Open (or create) the live tail segment for appending.
+        // Open (or create) the live tail segment. An existing tail is cut
+        // at its logical end when torn, so stale frames past the tear are
+        // gone, and (re)preallocated — which also upgrades a tail written
+        // without preallocation.
         let (file, segment_len) = match segments.last() {
             Some(last) => {
-                let mut file = OpenOptions::new().append(true).open(&last.path)?;
-                file.seek(SeekFrom::End(0))?;
-                (file, last_segment_len)
+                let file = OpenOptions::new().write(true).open(&last.path)?;
+                if live_torn {
+                    file.set_len(live_len)?;
+                }
+                preallocate(&file, segment_bytes)?;
+                file.sync_all()?;
+                (file, live_len)
             }
             None => {
                 let path = segment_path(&dir, next_lsn);
-                let mut file =
-                    OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
-                write_segment_header(&mut file, next_lsn)?;
+                let file = create_segment(&path, next_lsn, segment_bytes)?;
                 file.sync_all()?;
                 sync_dir(&dir);
                 segments.push(Segment { start_lsn: next_lsn, path });
@@ -415,7 +546,7 @@ impl Wal {
         let wal = Wal {
             inner: Mutex::new(WalInner {
                 dir,
-                segment_bytes: segment_bytes.max(FRAME_BYTES + 16),
+                segment_bytes,
                 file,
                 segment_len,
                 segments,
@@ -444,7 +575,7 @@ impl Wal {
         }
         let lsn = inner.next_lsn;
         let frame = frame_record(lsn, commit_ts, payload);
-        inner.file.write_all(&frame)?;
+        inner.file.write_all_at(&frame, inner.segment_len)?;
         inner.segment_len += frame.len() as u64;
         inner.next_lsn += 1;
         inner.appended_lsn = lsn;
@@ -453,16 +584,16 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Close the live segment (fsyncing it, so closed segments are never
-    /// torn) and open the next one.
+    /// Close the live segment (trimmed to its records and fsynced, so
+    /// closed segments are never torn and carry no padding) and open the
+    /// next one, preallocated.
     fn rotate(&self, inner: &mut WalInner) -> io::Result<()> {
+        inner.file.set_len(inner.segment_len)?;
         inner.file.sync_all()?;
         inner.durable_lsn = inner.appended_lsn;
         let start_lsn = inner.next_lsn;
         let path = segment_path(&inner.dir, start_lsn);
-        let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
-        write_segment_header(&mut file, start_lsn)?;
-        inner.file = file;
+        inner.file = create_segment(&path, start_lsn, inner.segment_bytes)?;
         inner.segment_len = 16;
         inner.segments.push(Segment { start_lsn, path });
         sync_dir(&inner.dir);
@@ -576,14 +707,16 @@ impl Wal {
     }
 }
 
-/// Fault injection for the recovery gate (`--chaos-torn-tail`): append a
-/// deliberately CRC-corrupt, truncated record frame to the newest segment
-/// in `dir`, simulating a crash mid-write. Returns whether anything was
-/// injected (false when the directory holds no segments yet).
+/// Fault injection for the recovery gate (`--chaos-torn-tail`): write a
+/// deliberately CRC-corrupt, truncated record frame at the logical end of
+/// the newest segment in `dir` (where the next append would land),
+/// simulating a crash mid-write. Returns whether anything was injected
+/// (false when the directory holds no segments yet).
 ///
 /// # Errors
 ///
-/// Propagates I/O failures reading the directory or appending.
+/// Propagates I/O failures reading the directory or the segment, or
+/// writing.
 pub fn inject_torn_tail(dir: &Path) -> io::Result<bool> {
     let Ok(entries) = fs::read_dir(dir) else { return Ok(false) };
     let mut newest: Option<(u64, PathBuf)> = None;
@@ -602,14 +735,19 @@ pub fn inject_torn_tail(dir: &Path) -> io::Result<bool> {
         }
     }
     let Some((_, path)) = newest else { return Ok(false) };
-    let mut file = OpenOptions::new().append(true).open(&path)?;
+    let bytes = fs::read(&path)?;
+    let mut logical_end = bytes.len().min(16);
+    while let Some((_, next_offset)) = parse_record(&bytes, logical_end) {
+        logical_end = next_offset;
+    }
+    let file = OpenOptions::new().write(true).open(&path)?;
     // A frame that claims 64 payload bytes but delivers 3, with a junk
     // CRC: both the length check and the CRC check must reject it.
     let mut torn = Vec::new();
     torn.extend_from_slice(&(16u32 + 64).to_le_bytes());
     torn.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
     torn.extend_from_slice(&[0xAB; 3]);
-    file.write_all(&torn)?;
+    file.write_all_at(&torn, logical_end as u64)?;
     file.sync_all()?;
     Ok(true)
 }

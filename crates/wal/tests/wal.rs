@@ -1,9 +1,14 @@
 //! Durability-layer tests: segment round-trip, CRC-detected torn-tail
-//! truncation, checkpoint-bounded replay, and segment GC (ISSUE 8).
+//! truncation, fixed-size (preallocated) live segments, checkpoint-bounded
+//! replay, and segment GC.
+//!
+//! Crash simulations write where a crash would: at the live segment's
+//! logical end (just past its last record), not at EOF, which is the end
+//! of the preallocated padding.
 
 use std::fs::{self, OpenOptions};
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::os::unix::fs::FileExt as _;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proust_wal::{inject_torn_tail, FsyncPolicy, Wal};
@@ -32,6 +37,41 @@ impl Drop for ScratchDir {
 
 fn payload(i: u64) -> Vec<u8> {
     format!("record-{i}-{}", "x".repeat((i % 7) as usize * 10)).into_bytes()
+}
+
+/// Segment header bytes (magic + start LSN).
+const HEADER: u64 = 16;
+
+/// Framed length of a record: len + crc words, lsn, commit_ts, payload.
+fn frame_len(payload: &[u8]) -> u64 {
+    24 + payload.len() as u64
+}
+
+/// The directory's segment files in LSN order (zero-padded hex names
+/// sort as their LSNs do).
+fn segment_files(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "seg"))
+        .collect();
+    paths.sort();
+    paths
+}
+
+fn live_segment(dir: &Path) -> PathBuf {
+    segment_files(dir).pop().expect("a segment exists")
+}
+
+fn file_len(path: &Path) -> u64 {
+    fs::metadata(path).expect("stat").len()
+}
+
+/// Write `bytes` at `offset` of `path`, as a crash mid-write would leave them.
+fn write_at(path: &Path, offset: u64, bytes: &[u8]) {
+    let file = OpenOptions::new().write(true).open(path).expect("open seg");
+    file.write_all_at(bytes, offset).expect("write");
 }
 
 #[test]
@@ -115,28 +155,213 @@ fn torn_tail_is_truncated_not_replayed() {
 
 #[test]
 fn raw_garbage_tail_is_truncated() {
-    let dir = ScratchDir::new("garbage");
-    let seg_path;
+    let end = HEADER + frame_len(b"keep me");
+    // A frame cut 20 bytes in: its len and crc words, then 12 of the 32
+    // payload bytes the len word promises.
+    let mut partial = Vec::new();
+    partial.extend_from_slice(&(16u32 + 32).to_le_bytes());
+    partial.extend_from_slice(&0x1234_5678u32.to_le_bytes());
+    partial.extend_from_slice(&[0x5A; 12]);
+    let deep = Wal::DEFAULT_SEGMENT_BYTES / 2;
+    let cases: [(u64, &[u8], u64); 3] = [
+        // Half a length word of a second record, at the logical end
+        // where that record would have gone.
+        (end, &[0x55, 0x66], 2),
+        // A partial frame there, counted at exactly its length.
+        (end, &partial, partial.len() as u64),
+        // One stray byte deep in the preallocated padding: counted
+        // through the last nonzero byte.
+        (deep, &[0x77], deep + 1 - end),
+    ];
+    for (at, garbage, truncated) in cases {
+        let dir = ScratchDir::new("garbage");
+        {
+            let (wal, _) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("open");
+            wal.append(1, b"keep me").expect("append");
+            wal.sync().expect("sync");
+        }
+        let seg = live_segment(&dir.0);
+        write_at(&seg, at, garbage);
+        let (wal, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("recover");
+        assert!(recovery.torn_tail);
+        assert_eq!(recovery.truncated_bytes, truncated, "garbage at {at}");
+        assert_eq!(recovery.records.len(), 1);
+        assert_eq!(recovery.records[0].payload, b"keep me");
+        assert_eq!(
+            file_len(&seg),
+            Wal::DEFAULT_SEGMENT_BYTES,
+            "the healed tail is preallocated again"
+        );
+        let bytes = fs::read(&seg).expect("read seg");
+        assert!(bytes[end as usize..].iter().all(|&b| b == 0), "the torn bytes are gone");
+        assert_eq!(wal.append(2, b"next").expect("append"), 2);
+        wal.sync().expect("sync");
+        drop(wal);
+        let (_, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("reopen");
+        assert!(!recovery.torn_tail, "garbage at {at}: the heal holds");
+        assert_eq!(recovery.truncated_bytes, 0);
+        assert_eq!(recovery.records.len(), 2);
+    }
+}
+
+#[test]
+fn preallocated_tail_reopens_clean() {
+    let dir = ScratchDir::new("prealloc");
     {
         let (wal, _) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("open");
-        wal.append(1, b"keep me").expect("append");
+        let seg = live_segment(&dir.0);
+        assert_eq!(file_len(&seg), Wal::DEFAULT_SEGMENT_BYTES, "a new segment is preallocated");
+        for i in 0..10u64 {
+            wal.append(i, &payload(i)).expect("append");
+        }
         wal.sync().expect("sync");
-        seg_path = fs::read_dir(&dir.0)
-            .expect("read dir")
-            .filter_map(|e| e.ok())
-            .find(|e| e.file_name().to_string_lossy().ends_with(".seg"))
-            .expect("segment exists")
-            .path();
+        assert_eq!(file_len(&seg), Wal::DEFAULT_SEGMENT_BYTES, "appends land inside it");
     }
-    // Simulate a crash that wrote half a length word of a second record.
-    let mut file = OpenOptions::new().append(true).open(&seg_path).expect("open seg");
-    file.write_all(&[0x55, 0x66]).expect("append garbage");
-    drop(file);
-    let (_, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("recover");
+    for round in 0..2 {
+        let (_, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("reopen");
+        assert!(!recovery.torn_tail, "round {round}: zero padding is not a torn tail");
+        assert_eq!(recovery.truncated_bytes, 0, "round {round}: padding is never counted");
+        assert_eq!(recovery.records.len(), 10, "round {round}");
+        assert_eq!(file_len(&live_segment(&dir.0)), Wal::DEFAULT_SEGMENT_BYTES, "round {round}");
+    }
+}
+
+#[test]
+fn stale_frames_past_a_tear_never_replay() {
+    let dir = ScratchDir::new("stale");
+    let old = vec![b's'; 10];
+    {
+        let (wal, _) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("open");
+        for i in 1..=20u64 {
+            wal.append(i, &old).expect("append");
+        }
+        wal.sync().expect("sync");
+    }
+    // Tear record 11 by clobbering its CRC word: records 12..=20 stay
+    // CRC-valid behind the tear.
+    let seg = live_segment(&dir.0);
+    let record_11 = HEADER + 10 * frame_len(&old);
+    write_at(&seg, record_11 + 4, &[0xDE, 0xAD, 0xBE, 0xEF]);
+    let (wal, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("recover");
     assert!(recovery.torn_tail);
-    assert_eq!(recovery.truncated_bytes, 2);
-    assert_eq!(recovery.records.len(), 1);
-    assert_eq!(recovery.records[0].payload, b"keep me");
+    assert_eq!(recovery.records.len(), 10);
+    assert_eq!(recovery.truncated_bytes, 10 * frame_len(&old), "records 11..=20 are cut");
+    // Two new records as long as stale records 11 and 12 together, split
+    // differently: left in place, stale record 13 would start right after
+    // them and carry the very LSN recovery expects next.
+    let (short, long) = (vec![b'n'; 4], vec![b'N'; 16]);
+    assert_eq!(frame_len(&short) + frame_len(&long), 2 * frame_len(&old));
+    assert_eq!(wal.append(111, &short).expect("append"), 11);
+    assert_eq!(wal.append(112, &long).expect("append"), 12);
+    wal.sync().expect("sync");
+    drop(wal);
+    let (_, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("reopen");
+    assert!(!recovery.torn_tail);
+    assert_eq!(
+        recovery.records.iter().map(|r| r.lsn).collect::<Vec<_>>(),
+        (1..=12).collect::<Vec<_>>()
+    );
+    assert_eq!(recovery.records[10].payload, short);
+    assert_eq!(recovery.records[11].payload, long);
+    assert_eq!(recovery.records[11].commit_ts, 112, "only the new records replay");
+}
+
+#[test]
+fn closed_segments_are_trimmed_to_their_records() {
+    let dir = ScratchDir::new("trim");
+    let body = vec![b't'; 40];
+    {
+        let (wal, _) = Wal::open(&dir.0, 256).expect("open");
+        for i in 0..38u64 {
+            wal.append(i, &body).expect("append");
+        }
+        wal.sync().expect("sync");
+    }
+    let start_lsn = |path: &Path| {
+        let name = path.file_name().unwrap().to_str().unwrap();
+        u64::from_str_radix(&name["wal-".len()..name.len() - ".seg".len()], 16).unwrap()
+    };
+    let files = segment_files(&dir.0);
+    assert!(files.len() > 3, "a 256-byte threshold over 38 records rotates, found {}", files.len());
+    for pair in files.windows(2) {
+        let records = start_lsn(&pair[1]) - start_lsn(&pair[0]);
+        assert_eq!(
+            file_len(&pair[0]),
+            HEADER + records * frame_len(&body),
+            "{} holds its {records} frames and nothing else",
+            pair[0].display()
+        );
+    }
+    assert_eq!(file_len(files.last().unwrap()), 256, "the live tail stays preallocated");
+    let (_, recovery) = Wal::open(&dir.0, 256).expect("reopen");
+    assert!(!recovery.torn_tail);
+    assert_eq!(recovery.records.len(), 38);
+}
+
+#[test]
+fn unpreallocated_log_opens_appends_and_recovers() {
+    let dir = ScratchDir::new("legacy");
+    {
+        let (wal, _) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("open");
+        for i in 0..5u64 {
+            wal.append(i, &payload(i)).expect("append");
+        }
+        wal.sync().expect("sync");
+    }
+    // The layout before preallocation: the live tail ends at its last record.
+    let seg = live_segment(&dir.0);
+    let end = HEADER + (0..5u64).map(|i| frame_len(&payload(i))).sum::<u64>();
+    OpenOptions::new().write(true).open(&seg).expect("open seg").set_len(end).expect("trim");
+    {
+        let (wal, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("open old log");
+        assert!(!recovery.torn_tail);
+        assert_eq!(recovery.truncated_bytes, 0);
+        assert_eq!(recovery.records.len(), 5);
+        assert_eq!(
+            file_len(&seg),
+            Wal::DEFAULT_SEGMENT_BYTES,
+            "the old tail is preallocated on open"
+        );
+        for i in 5..8u64 {
+            assert_eq!(wal.append(i, &payload(i)).expect("append"), i + 1);
+        }
+        wal.sync().expect("sync");
+    }
+    let (_, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("reopen");
+    assert!(!recovery.torn_tail);
+    assert_eq!(recovery.truncated_bytes, 0);
+    let payloads: Vec<Vec<u8>> = recovery.records.into_iter().map(|r| r.payload).collect();
+    assert_eq!(payloads, (0..8u64).map(payload).collect::<Vec<_>>());
+}
+
+#[test]
+fn headerless_tail_segment_is_dropped() {
+    let dir = ScratchDir::new("headerless");
+    {
+        let (wal, _) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("open");
+        for i in 0..10u64 {
+            wal.append(i, &payload(i)).expect("append");
+        }
+        wal.sync().expect("sync");
+    }
+    // A crash mid-rotation: the closed segment is already trimmed to its
+    // records, and the next one got four bytes into its header.
+    let closed = live_segment(&dir.0);
+    let end = HEADER + (0..10u64).map(|i| frame_len(&payload(i))).sum::<u64>();
+    OpenOptions::new().write(true).open(&closed).expect("open seg").set_len(end).expect("trim");
+    let next = dir.0.join(format!("wal-{:016x}.seg", 11));
+    fs::write(&next, b"PWAL").expect("write torn header");
+    let (wal, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("recover");
+    assert!(recovery.torn_tail);
+    assert_eq!(recovery.truncated_bytes, 4);
+    assert_eq!(recovery.records.len(), 10);
+    assert!(!next.exists(), "the headerless segment is removed, not left behind");
+    assert_eq!(wal.append(10, &payload(10)).expect("append"), 11);
+    wal.sync().expect("sync");
+    drop(wal);
+    let (_, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("reopen");
+    assert!(!recovery.torn_tail);
+    assert_eq!(recovery.records.len(), 11);
 }
 
 #[test]

@@ -146,10 +146,16 @@ if [[ "$MODE" == "kill-recover" ]]; then
     verify_journal
 
     # Phase 3: drain-then-checkpoint shutdown must bound the next replay
-    # to zero while preserving the exact recovered state.
+    # to zero while preserving the exact recovered state. Nothing crashed
+    # this time, so the live segment's preallocated padding must not read
+    # as a tear. (Phase 2 cannot assert this: a SIGKILL may split a write.)
     graceful_shutdown
     start_server
     (( RECOVERY_REPLAYED == 0 )) || { echo "checkpoint did not bound replay (replayed=$RECOVERY_REPLAYED)" >&2; exit 1; }
+    (( RECOVERY_TORN == 0 && RECOVERY_TRUNCATED == 0 )) || {
+        echo "clean restart reported a torn tail (torn_tails=$RECOVERY_TORN truncated_bytes=$RECOVERY_TRUNCATED)" >&2
+        exit 1
+    }
     CKPT_LSN="$(scrape_metric proust_wal_checkpoint_lsn)"
     (( CKPT_LSN > 0 )) || { echo "no checkpoint recorded after a drained shutdown" >&2; exit 1; }
     verify_journal
