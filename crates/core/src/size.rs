@@ -36,6 +36,11 @@ impl CommittedSize {
         CommittedSize::default()
     }
 
+    /// Create a counter starting at `initial`.
+    pub fn starting_at(initial: i64) -> Self {
+        CommittedSize { value: Arc::new(AtomicI64::new(initial)) }
+    }
+
     /// The current committed size.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Acquire)

@@ -29,10 +29,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use proust_stm::{TxResult, Txn, TxnOutcome};
+use proust_stm::{TxResult, Txn};
 
 use crate::conflict::AccessSet;
 use crate::region::StmRegion;
+use crate::size::CommittedSize;
 
 /// The value threshold below which operations touch ℓ₀.
 pub const COUNTER_THRESHOLD: i64 = 2;
@@ -125,7 +126,7 @@ impl ConcCounter {
 /// inverses, optimistic conflict abstraction over one STM location.
 pub struct ProustCounter {
     base: Arc<ConcCounter>,
-    committed: Arc<AtomicI64>,
+    committed: CommittedSize,
     region: Arc<StmRegion>,
     threshold: i64,
 }
@@ -160,7 +161,7 @@ impl ProustCounter {
     pub fn with_threshold(initial: i64, threshold: i64) -> Self {
         ProustCounter {
             base: Arc::new(ConcCounter::new(initial)),
-            committed: Arc::new(AtomicI64::new(initial)),
+            committed: CommittedSize::starting_at(initial),
             region: Arc::new(StmRegion::labelled(1, "counter.l0")),
             threshold,
         }
@@ -171,16 +172,7 @@ impl ProustCounter {
     /// "the counter is below 2" — touching ℓ₀ when *either* view is below
     /// the threshold stays sound with in-flight operations).
     fn observed_floor(&self) -> i64 {
-        self.base.get().min(self.committed.load(Ordering::Acquire))
-    }
-
-    fn record_committed_delta(&self, tx: &mut Txn, delta: i64) {
-        let committed = Arc::clone(&self.committed);
-        tx.on_end(move |outcome| {
-            if outcome == TxnOutcome::Committed {
-                committed.fetch_add(delta, Ordering::AcqRel);
-            }
-        });
+        self.base.get().min(self.committed.get())
     }
 
     /// Transactionally increment the counter (eager, with a registered
@@ -196,7 +188,7 @@ impl ProustCounter {
         self.base.incr();
         let base = Arc::clone(&self.base);
         tx.on_abort(move || base.undo_incr());
-        self.record_committed_delta(tx, 1);
+        self.committed.record(tx, 1);
         Ok(())
     }
 
@@ -214,14 +206,14 @@ impl ProustCounter {
         if succeeded {
             let base = Arc::clone(&self.base);
             tx.on_abort(move || base.incr());
-            self.record_committed_delta(tx, -1);
+            self.committed.record(tx, -1);
         }
         Ok(succeeded)
     }
 
     /// The last-committed value (non-transactional observer).
     pub fn value_now(&self) -> i64 {
-        self.committed.load(Ordering::Acquire)
+        self.committed.get()
     }
 }
 

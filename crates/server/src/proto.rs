@@ -30,8 +30,10 @@
 //! ```
 //!
 //! Malformed input earns `ERR <reason>`; a request whose transaction
-//! exhausts its retry budget (only possible under `--exhaustion giveup`)
-//! earns `BUSY`, which is accounted separately from protocol errors.
+//! returns an error earns `BUSY`, which is accounted separately from
+//! protocol errors. Under the server's fixed serial fallback that needs a
+//! transaction that cannot commit even running alone in serial mode, and
+//! no command here builds one, so `BUSY` is not produced today.
 //! Maps, counters, queues, and ordered maps live in separate namespaces,
 //! so a name never changes kind. `SCAN` ranges are half-open; reversed
 //! bounds (`lo > hi`) are rejected at parse time, mirroring the wrapper's
