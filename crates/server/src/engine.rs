@@ -1131,6 +1131,7 @@ fn apply_op(tx: &mut Txn, op: &Op) -> TxResult<Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::MAX_DELTA;
 
     fn engine() -> Engine {
         Engine::new(&ServerConfig::default())
@@ -1541,6 +1542,78 @@ mod tests {
         let engine = Engine::open(&config).unwrap();
         assert_eq!(single(&engine, "GET m 9"), "NIL", "aborted update must not be replayed");
         assert_eq!(single(&engine, "GET m 1"), "VALUE 10");
+    }
+
+    /// Run `lines` as one atomic unit, as `MULTI`/`EXEC` does.
+    fn multi(engine: &Engine, lines: &[&str]) -> Vec<String> {
+        let ops = lines
+            .iter()
+            .map(|line| match crate::proto::parse_line(line).unwrap() {
+                crate::proto::Line::Data(cmd) => engine.resolve(&cmd).unwrap(),
+                other => panic!("not a data command: {other:?}"),
+            })
+            .collect();
+        let mut responses = engine.execute(&[Unit { ops }]);
+        responses.pop().unwrap().iter().map(Resp::to_line).collect()
+    }
+
+    #[test]
+    fn counter_total_above_max_delta_survives_a_checkpoint() {
+        let dir = ScratchDir::new("big-counter");
+        let config = durable_config(&dir);
+        {
+            let engine = Engine::open(&config).unwrap();
+            for _ in 0..3 {
+                assert_eq!(single(&engine, &format!("INC c {MAX_DELTA}")), "OK");
+            }
+            assert_eq!(single(&engine, "INC c 1"), "OK");
+            engine.checkpoint().expect("checkpoint").expect("wal attached");
+        }
+        let engine = Engine::open(&config).unwrap();
+        assert_eq!(engine.recovery_stats().0, 0, "the checkpoint holds the whole total");
+        assert_eq!(single(&engine, "GET c"), format!("VALUE {}", 3 * MAX_DELTA + 1));
+    }
+
+    #[test]
+    fn only_effective_mutations_are_logged_and_a_multi_replays_exactly() {
+        let dir = ScratchDir::new("log-rules");
+        let config = durable_config(&dir);
+        {
+            let engine = Engine::open(&config).unwrap();
+            let records = || engine.wal_u64(Wal::last_lsn);
+            let before = records();
+            assert_eq!(single(&engine, "DEL m 1"), "NIL");
+            assert_eq!(single(&engine, "ODEL o 1"), "NIL");
+            assert_eq!(single(&engine, "DEQ q"), "NIL");
+            assert_eq!(records(), before, "a mutation that changed nothing logs nothing");
+            let responses = multi(
+                &engine,
+                &[
+                    "PUT m 1 10",
+                    "PUT m 2 20",
+                    "DEL m 2",
+                    "INC c 7",
+                    "ENQ q 5",
+                    "ENQ q 6",
+                    "DEQ q",
+                    "OPUT o 3 30",
+                    "OPUT o 4 40",
+                    "ODEL o 4",
+                ],
+            );
+            let want =
+                ["OK", "OK", "VALUE 20", "OK", "OK", "OK", "VALUE 5", "OK", "OK", "VALUE 40"];
+            assert_eq!(responses, want);
+            assert_eq!(records(), before + 1, "one MULTI commits one record");
+        }
+        let engine = Engine::open(&config).unwrap();
+        assert_eq!(engine.recovery_stats(), (1, 0, 0));
+        assert_eq!(single(&engine, "GET m 1"), "VALUE 10");
+        assert_eq!(single(&engine, "GET m 2"), "NIL");
+        assert_eq!(single(&engine, "GET c"), "VALUE 7");
+        assert_eq!(single(&engine, "DEQ q"), "VALUE 6");
+        assert_eq!(single(&engine, "DEQ q"), "NIL");
+        assert_eq!(single(&engine, "SCAN o 0 100"), "VALUE 1 3=30");
     }
 
     #[test]
