@@ -54,7 +54,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Magic prefix opening every segment file, followed by the segment's
-/// first LSN (u64 LE). A file too short to hold it is dropped whole.
+/// first LSN (u64 LE). A last segment holding only a prefix of that
+/// header, and nothing past it, is dropped whole.
 const SEGMENT_MAGIC: &[u8; 8] = b"PWAL0001";
 
 /// Magic prefix of the checkpoint file.
@@ -219,12 +220,19 @@ fn segment_path(dir: &Path, start_lsn: u64) -> PathBuf {
     dir.join(format!("wal-{start_lsn:016x}.seg"))
 }
 
+/// The 16 bytes a segment starting at `start_lsn` opens with.
+fn segment_header(start_lsn: u64) -> [u8; 16] {
+    let mut header = [0u8; 16];
+    header[..8].copy_from_slice(SEGMENT_MAGIC);
+    header[8..].copy_from_slice(&start_lsn.to_le_bytes());
+    header
+}
+
 /// Create (or truncate) a segment: the 16-byte header first, then the
 /// file preallocated to `segment_bytes`. Not fsynced.
 fn create_segment(path: &Path, start_lsn: u64, segment_bytes: u64) -> io::Result<File> {
     let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(path)?;
-    file.write_all(SEGMENT_MAGIC)?;
-    file.write_all(&start_lsn.to_le_bytes())?;
+    file.write_all(&segment_header(start_lsn))?;
     preallocate(&file, segment_bytes)?;
     Ok(file)
 }
@@ -443,17 +451,21 @@ impl Wal {
         for (index, segment) in segments.iter().enumerate() {
             let is_last = index == segments.len() - 1;
             let (bytes, data_len) = read_segment(&segment.path)?;
-            let header_ok = bytes.len() >= 16
-                && &bytes[0..8] == SEGMENT_MAGIC
-                && u64::from_le_bytes(bytes[8..16].try_into().unwrap()) == segment.start_lsn;
-            if !header_ok {
-                if is_last && segment.start_lsn == next_lsn {
-                    // The crash landed inside the header write of a fresh
-                    // segment: nothing in it was ever acknowledged. Drop
-                    // it; the previous segment (or a new one) goes live.
-                    let torn = written_len(&bytes[..data_len]) as u64;
-                    recovery.torn_tail |= torn > 0;
-                    recovery.truncated_bytes += torn;
+            let header = segment_header(segment.start_lsn);
+            if bytes.get(..16) != Some(&header[..]) {
+                // A crash inside the header write of a fresh segment
+                // leaves a prefix of its header and nothing past it:
+                // nothing in it was ever acknowledged. Drop it; the
+                // previous segment (or a new one) goes live. Any other
+                // mismatch may hide acknowledged records, so it refuses.
+                let written = written_len(&bytes[..data_len]);
+                if is_last
+                    && segment.start_lsn == next_lsn
+                    && written <= 16
+                    && bytes[..written] == header[..written]
+                {
+                    recovery.torn_tail |= written > 0;
+                    recovery.truncated_bytes += written as u64;
                     fs::remove_file(&segment.path)?;
                     headerless_tail = true;
                     continue;

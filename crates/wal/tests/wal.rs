@@ -365,6 +365,34 @@ fn headerless_tail_segment_is_dropped() {
 }
 
 #[test]
+fn corrupt_header_of_a_segment_with_records_refuses_to_open() {
+    let dir = ScratchDir::new("badheader");
+    {
+        let (wal, _) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("open");
+        for i in 0..2u64 {
+            wal.append(i, &payload(i)).expect("append");
+        }
+        wal.sync().expect("sync");
+    }
+    // Only a crash inside the header write of an empty segment may be
+    // healed; a wrong byte in the header of a segment holding records is
+    // corruption, and the records in it were acknowledged.
+    let live = live_segment(&dir.0);
+    let original = fs::read(&live).expect("read seg");
+    for at in 0..HEADER as usize {
+        let mut bytes = original.clone();
+        bytes[at] ^= 0x01;
+        fs::write(&live, &bytes).expect("corrupt header");
+        let err = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect_err("must refuse");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "byte {at}: {err}");
+        assert_eq!(fs::read(&live).expect("segment kept"), bytes, "byte {at}: file untouched");
+    }
+    fs::write(&live, &original).expect("restore header");
+    let (_, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("reopen");
+    assert_eq!(recovery.records.len(), 2);
+}
+
+#[test]
 fn checkpoint_bounds_replay_and_gcs_segments() {
     let dir = ScratchDir::new("ckpt");
     {
