@@ -50,7 +50,6 @@
 
 mod abstract_lock;
 mod conflict;
-mod durable;
 mod lap;
 mod map_trait;
 mod mode;
@@ -65,7 +64,6 @@ pub use conflict::{
     requests_to_access_set, AbstractionInfo, AccessSet, ConflictAbstraction, KeyedOp, KeyedOpKind,
     StripedKeyAbstraction, ORDERED_STRIPES,
 };
-pub use durable::{DurableDecodeError, DurableOp};
 pub use lap::{LockAllocatorPolicy, OptimisticLap, PessimisticLap};
 pub use map_trait::{TxMap, TxPQueue};
 pub use mode::{Compat, LockRequest, Mode};

@@ -136,7 +136,7 @@ fn translate(
 /// Decode a data-op frame into the shared [`Cmd`] model, enforcing the
 /// same validity rules as the text parser (name charset/length, delta
 /// bounds, scan bound ordering, exact argument counts).
-fn to_cmd(view: &FrameView<'_>) -> Result<Cmd, String> {
+pub(crate) fn to_cmd(view: &FrameView<'_>) -> Result<Cmd, String> {
     let name = || -> Result<String, String> {
         let name = view.name_str().ok_or_else(|| "name is not UTF-8".to_string())?;
         if !proto::valid_name(name) {

@@ -16,16 +16,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use proust_bench::args::{LapChoice, UpdateChoice};
+use proust_codec::{self as codec, op, Parsed};
 use proust_core::op_site;
 use proust_core::structures::{
     EagerMap, FifoState, OrderedMap, ProustCounter, ProustFifo, SnapTrieMap,
 };
-use proust_core::{DurableOp, OptimisticLap, PessimisticLap, TxMap, ORDERED_STRIPES};
+use proust_core::{OptimisticLap, PessimisticLap, TxMap, ORDERED_STRIPES};
 use proust_stm::obs::{Histogram, JsonValue, Phase, Tracer, STAGES};
 use proust_stm::{CommitHook, ConflictDetection, SiteId, Stm, StmConfig, TxError, TxResult, Txn};
 use proust_wal::{FsyncPolicy, Wal};
 
-use crate::proto::{Cmd, TraceCmd};
+use crate::binary::to_cmd;
+use crate::proto::{Cmd, TraceCmd, MAX_DELTA};
 use crate::ServerConfig;
 
 /// Size of the lock-allocator region backing each server map.
@@ -486,14 +488,14 @@ impl Engine {
         // transactional `incr` at a time would be O(total) transactions.
         let mut counter_totals: HashMap<String, i64> = HashMap::new();
         if let Some(ckpt) = &recovery.checkpoint {
-            let ops = DurableOp::decode_all(&ckpt.payload)
+            engine
+                .replay(&ckpt.payload, &mut counter_totals)
                 .map_err(|e| invalid(format!("checkpoint: {e}")))?;
-            engine.replay_ops(&ops, &mut counter_totals).map_err(invalid)?;
         }
         for record in &recovery.records {
-            let ops = DurableOp::decode_all(&record.payload)
+            engine
+                .replay(&record.payload, &mut counter_totals)
                 .map_err(|e| invalid(format!("record lsn={}: {e}", record.lsn)))?;
-            engine.replay_ops(&ops, &mut counter_totals).map_err(invalid)?;
         }
         // Replay never resolves a counter, so each is created here.
         for (name, total) in counter_totals {
@@ -520,33 +522,47 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Replay decoded WAL operations against the registries. Counter adds
-    /// accumulate into `counter_totals` (installed in one shot by the
-    /// caller); structural ops run transactionally in chunks so recovery
-    /// of a large log does not build one giant write set.
-    fn replay_ops(
+    /// Replay one WAL payload, a commit record or the checkpoint: the
+    /// request frames of the mutations it logged, decoded by the binary
+    /// wire's own parser. The whole payload is decoded before anything
+    /// applies, so a bad frame leaves no prefix of it applied. Counter
+    /// increments accumulate into `counter_totals` (installed in one shot
+    /// by the caller); the other mutations run transactionally in chunks
+    /// so recovery of a large log does not build one giant write set.
+    fn replay(
         &self,
-        ops: &[DurableOp],
+        mut payload: &[u8],
         counter_totals: &mut HashMap<String, i64>,
     ) -> Result<(), String> {
         const REPLAY_CHUNK: usize = 256;
-        let mut structural: Vec<Op> = Vec::new();
-        for op in ops {
-            // Each structural record replays as the request that logged it.
-            let name = op.name().to_string();
-            let cmd = match *op {
-                DurableOp::CounterAdd { delta, .. } => {
-                    *counter_totals.entry(name).or_insert(0) += delta;
-                    continue;
-                }
-                DurableOp::MapPut { key, value, .. } => Cmd::MapPut { name, key, value },
-                DurableOp::MapDel { key, .. } => Cmd::MapDel { name, key },
-                DurableOp::QueueEnq { value, .. } => Cmd::QueueEnq { name, value },
-                DurableOp::QueueDeq { .. } => Cmd::QueueDeq { name },
-                DurableOp::OrdPut { key, value, .. } => Cmd::OrdPut { name, key, value },
-                DurableOp::OrdDel { key, .. } => Cmd::OrdDel { name, key },
+        let mut cmds = Vec::new();
+        while !payload.is_empty() {
+            let parsed =
+                codec::parse_frame(payload, codec::REQ_MAGIC).map_err(|e| e.to_string())?;
+            let Parsed::Frame { view, consumed } = parsed else {
+                return Err("truncated frame".to_string());
             };
-            structural.push(self.resolve(&cmd)?);
+            match to_cmd(&view)? {
+                cmd @ (Cmd::MapPut { .. }
+                | Cmd::MapDel { .. }
+                | Cmd::CounterInc { .. }
+                | Cmd::QueueEnq { .. }
+                | Cmd::QueueDeq { .. }
+                | Cmd::OrdPut { .. }
+                | Cmd::OrdDel { .. }) => cmds.push(cmd),
+                read => return Err(format!("a {} frame is not a logged mutation", read.op_name())),
+            }
+            payload = &payload[consumed..];
+        }
+        let mut structural: Vec<Op> = Vec::new();
+        for cmd in cmds {
+            match cmd {
+                Cmd::CounterInc { name, delta } => {
+                    *counter_totals.entry(name).or_insert(0) += delta as i64;
+                }
+                // Each structural record replays as the request that logged it.
+                cmd => structural.push(self.resolve(&cmd)?),
+            }
         }
         for chunk in structural.chunks(REPLAY_CHUNK) {
             self.stm
@@ -574,29 +590,34 @@ impl Engine {
         if in_flight > 0 {
             return Err(format!("{in_flight} transactions in flight; drain before checkpointing"));
         }
-        let mut ops: Vec<DurableOp> = Vec::new();
+        // The dump is the request frames that rebuild the state from empty.
+        let mut payload = Vec::new();
         self.maps.for_each(|name, map| {
             for (key, value) in map.committed_entries().expect("server maps dump their entries") {
-                ops.push(DurableOp::MapPut { name: name.to_string(), key, value });
+                codec::put_request(&mut payload, op::MAP_PUT, name, &[key, value]);
             }
         });
         self.counters.for_each(|name, counter| {
-            let total = counter.value_now();
-            if total != 0 {
-                ops.push(DurableOp::CounterAdd { name: name.to_string(), delta: total });
+            // One INC carries at most MAX_DELTA, so a total is split into
+            // ⌈total / MAX_DELTA⌉ increments.
+            let mut left =
+                u64::try_from(counter.value_now()).expect("server counters only count up");
+            while left > 0 {
+                let delta = left.min(MAX_DELTA);
+                codec::put_request(&mut payload, op::CTR_INC, name, &[delta]);
+                left -= delta;
             }
         });
         self.queues.for_each(|name, queue| {
             for value in queue.committed_items() {
-                ops.push(DurableOp::QueueEnq { name: name.to_string(), value });
+                codec::put_request(&mut payload, op::Q_ENQ, name, &[value]);
             }
         });
         self.omaps.for_each(|name, omap| {
             for (key, value) in omap.committed_entries().expect("ordered maps dump their entries") {
-                ops.push(DurableOp::OrdPut { name: name.to_string(), key, value });
+                codec::put_request(&mut payload, op::ORD_PUT, name, &[key, value]);
             }
         });
-        let payload = DurableOp::encode_all(&ops);
         wal.checkpoint(&payload).map(Some).map_err(|err| err.to_string())
     }
 
@@ -1017,18 +1038,18 @@ fn timed_sync(wal: &Wal, fsync_ns: &Histogram) -> u64 {
     elapsed_ns
 }
 
-/// Encode one replay record into the transaction's durable buffer. The
-/// record is built only when a commit hook (i.e. `--data-dir`) is
-/// installed, and the buffer only reaches the WAL if this attempt
-/// commits; aborted attempts discard it, so replay logs never contain
-/// rolled-back updates.
-fn log_durable(tx: &mut Txn, record: impl FnOnce() -> DurableOp) {
+/// Log one mutation into the transaction's durable buffer as the binary
+/// request frame that replays it. The frame is built only when a commit
+/// hook (i.e. `--data-dir`) is installed, and the buffer only reaches the
+/// WAL if this attempt commits; aborted attempts discard it, so replay
+/// logs never contain rolled-back updates.
+fn log_durable(tx: &mut Txn, code: u8, name: &str, args: &[u64]) {
     if !tx.wal_enabled() {
         return;
     }
-    let mut buf = Vec::with_capacity(32);
-    record().encode_into(&mut buf);
-    tx.wal_log(&buf);
+    let mut frame = Vec::with_capacity(codec::HEADER_LEN + name.len() + 16);
+    codec::put_request(&mut frame, code, name, args);
+    tx.wal_log(&frame);
 }
 
 /// Apply one resolved operation inside a transaction, tagging the
@@ -1046,14 +1067,14 @@ fn apply_op(tx: &mut Txn, op: &Op) -> TxResult<Resp> {
         Op::MapPut(map, name, key, value) => {
             op_site!(tx, "server.put");
             map.put(tx, *key, *value)?;
-            log_durable(tx, || DurableOp::MapPut { name: name.clone(), key: *key, value: *value });
+            log_durable(tx, op::MAP_PUT, name, &[*key, *value]);
             Ok(Resp::Ok)
         }
         Op::MapDel(map, name, key) => {
             op_site!(tx, "server.del");
             Ok(match map.remove(tx, key)? {
                 Some(old) => {
-                    log_durable(tx, || DurableOp::MapDel { name: name.clone(), key: *key });
+                    log_durable(tx, op::MAP_DEL, name, &[*key]);
                     Resp::Value(old)
                 }
                 None => Resp::Nil,
@@ -1073,17 +1094,14 @@ fn apply_op(tx: &mut Txn, op: &Op) -> TxResult<Resp> {
                 counter.incr(tx)?;
             }
             if *delta > 0 {
-                log_durable(tx, || DurableOp::CounterAdd {
-                    name: name.clone(),
-                    delta: *delta as i64,
-                });
+                log_durable(tx, op::CTR_INC, name, &[*delta]);
             }
             Ok(Resp::Ok)
         }
         Op::QueueEnq(queue, name, value) => {
             op_site!(tx, "server.enq");
             queue.enqueue(tx, *value)?;
-            log_durable(tx, || DurableOp::QueueEnq { name: name.clone(), value: *value });
+            log_durable(tx, op::Q_ENQ, name, &[*value]);
             Ok(Resp::Ok)
         }
         Op::QueueDeq(queue, name) => {
@@ -1092,7 +1110,7 @@ fn apply_op(tx: &mut Txn, op: &Op) -> TxResult<Resp> {
                 Some(value) => {
                     // Logged only when something actually came off the
                     // queue; a DEQ that answered NIL replays as nothing.
-                    log_durable(tx, || DurableOp::QueueDeq { name: name.clone() });
+                    log_durable(tx, op::Q_DEQ, name, &[]);
                     Resp::Value(value)
                 }
                 None => Resp::Nil,
@@ -1108,14 +1126,14 @@ fn apply_op(tx: &mut Txn, op: &Op) -> TxResult<Resp> {
         Op::OrdPut(omap, name, key, value) => {
             op_site!(tx, "server.oput");
             omap.put(tx, *key, *value)?;
-            log_durable(tx, || DurableOp::OrdPut { name: name.clone(), key: *key, value: *value });
+            log_durable(tx, op::ORD_PUT, name, &[*key, *value]);
             Ok(Resp::Ok)
         }
         Op::OrdDel(omap, name, key) => {
             op_site!(tx, "server.odel");
             Ok(match omap.remove(tx, key)? {
                 Some(old) => {
-                    log_durable(tx, || DurableOp::OrdDel { name: name.clone(), key: *key });
+                    log_durable(tx, op::ORD_DEL, name, &[*key]);
                     Resp::Value(old)
                 }
                 None => Resp::Nil,
@@ -1131,7 +1149,6 @@ fn apply_op(tx: &mut Txn, op: &Op) -> TxResult<Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::MAX_DELTA;
 
     fn engine() -> Engine {
         Engine::new(&ServerConfig::default())
@@ -1614,6 +1631,94 @@ mod tests {
         assert_eq!(single(&engine, "DEQ q"), "VALUE 6");
         assert_eq!(single(&engine, "DEQ q"), "NIL");
         assert_eq!(single(&engine, "SCAN o 0 100"), "VALUE 1 3=30");
+    }
+
+    /// Open an engine over a log holding one record with `payload`.
+    fn open_with_record(tag: &str, payload: &[u8]) -> (ScratchDir, std::io::Result<Engine>) {
+        let dir = ScratchDir::new(tag);
+        let (wal, _) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).unwrap();
+        wal.append(1, payload).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let engine = Engine::open(&durable_config(&dir));
+        (dir, engine)
+    }
+
+    /// Structures in all four registries.
+    fn structures(engine: &Engine) -> usize {
+        let mut count = 0;
+        engine.maps.for_each(|_, _| count += 1);
+        engine.counters.for_each(|_, _| count += 1);
+        engine.queues.for_each(|_, _| count += 1);
+        engine.omaps.for_each(|_, _| count += 1);
+        count
+    }
+
+    #[test]
+    fn replay_fails_closed_on_any_payload_but_mutation_frames() {
+        let frame = |code: u8, name: &str, args: &[u64]| {
+            let mut out = Vec::new();
+            codec::put_request(&mut out, code, name, args);
+            out
+        };
+        // Valid frames ahead of the bad one, one structure each: none of
+        // them may apply.
+        let frames = [
+            frame(op::MAP_PUT, "m", &[1, 10]),
+            frame(op::CTR_INC, "c", &[5]),
+            frame(op::Q_ENQ, "q", &[7]),
+        ];
+        let valid = frames.concat();
+        let mut response = Vec::new();
+        codec::put_value(&mut response, 1);
+        let mut batch = Vec::new();
+        codec::put_batch_request(&mut batch, 1, &frame(op::MAP_PUT, "m", &[2, 20]));
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("response magic", response),
+            ("MAP_GET", frame(op::MAP_GET, "m", &[1])),
+            ("CTR_GET", frame(op::CTR_GET, "c", &[])),
+            ("ORD_SCAN", frame(op::ORD_SCAN, "o", &[0, 9])),
+            ("PING", frame(op::PING, "", &[])),
+            ("BATCH", batch),
+            ("INC 0", frame(op::CTR_INC, "c", &[0])),
+            ("INC MAX_DELTA + 1", frame(op::CTR_INC, "c", &[MAX_DELTA + 1])),
+            ("bad name", frame(op::MAP_PUT, "no space", &[1, 10])),
+        ];
+        for (case, bad) in &cases {
+            let payload = [&valid[..], bad].concat();
+            let (_dir, opened) = open_with_record("bad-frame", &payload);
+            let err = opened.err().unwrap_or_else(|| panic!("{case}: must refuse"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{case}: {err}");
+            let engine = engine();
+            let mut totals = HashMap::new();
+            assert!(engine.replay(&payload, &mut totals).is_err(), "{case}");
+            assert_eq!((structures(&engine), totals.len()), (0, 0), "{case}: a prefix applied");
+        }
+        // A cut inside a frame is refused whole. A cut between frames is
+        // a shorter valid payload, which the WAL's CRC tells apart from a
+        // truncated one, and replays exactly the frames before it.
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |end, frame| {
+                *end += frame.len();
+                Some(*end)
+            })
+            .collect();
+        for cut in 1..valid.len() {
+            let (_dir, opened) = open_with_record("prefix", &valid[..cut]);
+            let engine = engine();
+            let mut totals = HashMap::new();
+            let replayed = engine.replay(&valid[..cut], &mut totals);
+            if let Some(whole) = ends.iter().position(|&end| end == cut) {
+                assert!(opened.is_ok() && replayed.is_ok(), "cut {cut} is a frame boundary");
+                assert_eq!(structures(&engine) + totals.len(), whole + 1, "cut {cut}");
+                continue;
+            }
+            let err = opened.err().unwrap_or_else(|| panic!("cut {cut}: must refuse"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut {cut}: {err}");
+            assert!(replayed.is_err(), "cut {cut}");
+            assert_eq!((structures(&engine), totals.len()), (0, 0), "cut {cut}: a prefix applied");
+        }
     }
 
     #[test]

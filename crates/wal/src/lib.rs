@@ -2,10 +2,9 @@
 //! substrate behind `--data-dir` (ROADMAP open item 3).
 //!
 //! The WAL is *logical*: each record is one committed transaction's
-//! replay log (the paper's §4 representation, serialized by the engine
-//! as `DurableOp` byte sequences), not physical page images. The crate
-//! itself is payload-agnostic — it stores, fsyncs, and recovers framed
-//! byte records; the engine owns the encoding.
+//! replay log (the paper's §4 representation), not physical page images.
+//! The crate itself is payload-agnostic — it stores, fsyncs, and recovers
+//! framed byte records; the engine owns the encoding.
 //!
 //! # Record framing
 //!
@@ -55,11 +54,12 @@ use std::sync::Mutex;
 
 /// Magic prefix opening every segment file, followed by the segment's
 /// first LSN (u64 LE). A last segment holding only a prefix of that
-/// header, and nothing past it, is dropped whole.
-const SEGMENT_MAGIC: &[u8; 8] = b"PWAL0001";
+/// header, and nothing past it, is dropped whole. The last four bytes
+/// are the format version: a file of another version refuses to open.
+const SEGMENT_MAGIC: &[u8; 8] = b"PWAL0002";
 
-/// Magic prefix of the checkpoint file.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"PCKP0001";
+/// Magic prefix of the checkpoint file, versioned like [`SEGMENT_MAGIC`].
+const CHECKPOINT_MAGIC: &[u8; 8] = b"PCKP0002";
 
 /// Upper bound on one record's framed length: a `len` word beyond this is
 /// torn garbage, not a real record (the engine's batches are far smaller).
@@ -218,6 +218,24 @@ impl std::fmt::Debug for Wal {
 
 fn segment_path(dir: &Path, start_lsn: u64) -> PathBuf {
     dir.join(format!("wal-{start_lsn:016x}.seg"))
+}
+
+/// The error for a file of another format version: its magic names the
+/// same kind of file as `magic` (`PWAL`, `PCKP`) but another version.
+/// `None` for any other content, which the caller judges by its own rule.
+fn version_mismatch(path: &Path, bytes: &[u8], magic: &[u8; 8]) -> Option<io::Error> {
+    let found = bytes.get(..8)?;
+    (found[..4] == magic[..4] && found[4..] != magic[4..]).then(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{} has format version {}, but this build reads only version {}",
+                path.display(),
+                String::from_utf8_lossy(&found[4..]),
+                String::from_utf8_lossy(&magic[4..])
+            ),
+        )
+    })
 }
 
 /// The 16 bytes a segment starting at `start_lsn` opens with.
@@ -392,11 +410,15 @@ impl Wal {
 
         // Checkpoint first: it bounds which records need replaying. An
         // invalid checkpoint (torn rename window, bad CRC) is ignored —
-        // full-log replay is always correct, just slower.
+        // full-log replay is always correct, just slower. One of another
+        // format version refuses: its payload cannot be read here.
         let mut checkpoint_lsn = 0u64;
         let checkpoint_path = dir.join("checkpoint");
         if let Ok(bytes) = fs::read(&checkpoint_path) {
-            if bytes.len() >= 8 && &bytes[0..8] == CHECKPOINT_MAGIC {
+            if let Some(err) = version_mismatch(&checkpoint_path, &bytes, CHECKPOINT_MAGIC) {
+                return Err(err);
+            }
+            if bytes.get(..8) == Some(&CHECKPOINT_MAGIC[..]) {
                 if let Some((record, _)) = parse_record(&bytes, 8) {
                     checkpoint_lsn = record.lsn;
                     recovery.checkpoint = Some(record);
@@ -469,6 +491,9 @@ impl Wal {
                     fs::remove_file(&segment.path)?;
                     headerless_tail = true;
                     continue;
+                }
+                if let Some(err) = version_mismatch(&segment.path, &bytes, SEGMENT_MAGIC) {
+                    return Err(err);
                 }
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

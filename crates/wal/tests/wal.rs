@@ -393,6 +393,37 @@ fn corrupt_header_of_a_segment_with_records_refuses_to_open() {
 }
 
 #[test]
+fn files_of_another_format_version_refuse_to_open() {
+    let dir = ScratchDir::new("version");
+    {
+        let (wal, _) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("open");
+        for i in 0..4u64 {
+            wal.append(i, &payload(i)).expect("append");
+        }
+        wal.checkpoint(b"dump").expect("checkpoint");
+        wal.append(4, &payload(4)).expect("append");
+        wal.sync().expect("sync");
+    }
+    // An older build's files: the same kinds of file, version 0001.
+    for (path, old_magic) in
+        [(live_segment(&dir.0), b"PWAL0001"), (dir.0.join("checkpoint"), b"PCKP0001")]
+    {
+        let original = fs::read(&path).expect("read");
+        let mut bytes = original.clone();
+        bytes[..8].copy_from_slice(old_magic);
+        fs::write(&path, &bytes).expect("write old version");
+        let err = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect_err("must refuse");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let message = err.to_string();
+        assert!(message.contains("version 0001") && message.contains("version 0002"), "{message}");
+        assert_eq!(fs::read(&path).expect("file kept"), bytes, "file untouched");
+        fs::write(&path, &original).expect("restore");
+    }
+    let (_, recovery) = Wal::open(&dir.0, Wal::DEFAULT_SEGMENT_BYTES).expect("reopen");
+    assert_eq!(recovery.records.len(), 1);
+}
+
+#[test]
 fn checkpoint_bounds_replay_and_gcs_segments() {
     let dir = ScratchDir::new("ckpt");
     {
