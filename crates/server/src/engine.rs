@@ -560,7 +560,6 @@ impl Engine {
                 Cmd::CounterInc { name, delta } => {
                     *counter_totals.entry(name).or_insert(0) += delta as i64;
                 }
-                // Each structural record replays as the request that logged it.
                 cmd => structural.push(self.resolve(&cmd)?),
             }
         }
